@@ -33,7 +33,7 @@ from .divset import (
     validate,
     vector_from_json,
 )
-from .errors import DiskContactError
+from .errors import DiskContactError, NotBasic
 
 EXIT_FAIL = 1
 EXIT_USAGE = 2
@@ -44,17 +44,40 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _load_ds(text: str) -> DividingSet:
-    try:
-        ds = ds_from_json(json.loads(text))
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"error: unparseable dividing set: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+# what malformed JSON values raise while being parsed; int() of a JSON
+# number too large for a float (read as inf) raises OverflowError
+_UNPARSEABLE = (ValueError, KeyError, TypeError, OverflowError)
+
+
+def _check_ds(ds: DividingSet) -> None:
     rep = validate(ds)
     if not rep.ok:
         print(f"error: invalid dividing set: {'; '.join(rep.violations)}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
+
+
+def _load_ds(text: str) -> DividingSet:
+    try:
+        ds = ds_from_json(json.loads(text))
+    except _UNPARSEABLE as exc:
+        print(f"error: unparseable dividing set: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    _check_ds(ds)
     return ds
+
+
+def _load_complex(text: str) -> kom.Complex:
+    try:
+        c = kom.complex_from_json(json.loads(text))
+    except NotBasic as exc:
+        print(f"error: complex summand is not basic: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_INVALID)
+    except _UNPARSEABLE as exc:
+        print(f"error: unparseable complex: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    for s in c.summands:
+        _check_ds(s.gamma)
+    return c
 
 
 def _load_move(ds: DividingSet, text: str) -> bypass.BypassMove:
@@ -68,7 +91,7 @@ def _load_move(ds: DividingSet, text: str) -> bypass.BypassMove:
             int(obj["y"]),
             int(obj["z"]),
         )
-    except (ValueError, KeyError, TypeError) as exc:
+    except _UNPARSEABLE as exc:
         print(f"error: unparseable bypass move: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     try:
@@ -142,23 +165,12 @@ def cmd_triangle(args) -> int:
 
 
 def cmd_homdim(args) -> int:
-    try:
-        a = kom.complex_from_json(json.loads(args.src))
-        b = kom.complex_from_json(json.loads(args.dst))
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"error: unparseable complex: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    a = _load_complex(args.src)
+    b = _load_complex(args.dst)
     if not (kom.verify_complex(a) and kom.verify_complex(b)):
         print("error: input is not a complex (d^2 != 0 or bad entries)", file=sys.stderr)
         return EXIT_INVALID
-    by_degree = {}
-    if a.summands and b.summands:
-        lo = min(s.h for s in b.summands) - max(s.h for s in a.summands)
-        hi = max(s.h for s in b.summands) - min(s.h for s in a.summands)
-        for k in range(lo, hi + 1):
-            d = kom.hom_dim(a, b, k)
-            if d:
-                by_degree[str(k)] = d
+    by_degree = {str(k): d for k, d in kom.hom_by_degree(a, b).items()}
     _emit({"total": sum(by_degree.values()), "by_degree": by_degree})
     return 0
 
@@ -173,7 +185,7 @@ def cmd_verify(args) -> int:
         print(
             f"warning: homotopy-level suites at n={args.n} may be slow", file=sys.stderr
         )
-    t0 = time.time()
+    t0 = time.perf_counter()
     reports = suites.run_suite(args.suite, args.n, args.e)
     ok = True
     for rep in reports:
@@ -183,8 +195,12 @@ def cmd_verify(args) -> int:
             if not c.ok and c.counterexample is not None:
                 print("     " + json.dumps(c.counterexample, sort_keys=True))
         ok = ok and rep.ok
-    print(f"{'PASS' if ok else 'FAIL'} suite={args.suite} n={args.n} e={args.e} ({time.time() - t0:.2f}s)")
+    print(f"{'PASS' if ok else 'FAIL'} suite={args.suite} n={args.n} e={args.e} ({time.perf_counter() - t0:.2f}s)")
     return 0 if ok else EXIT_FAIL
+
+
+def _dot_name(g: DividingSet) -> str:
+    return "m" + "_".join(str(p) for p in to_matching(g))
 
 
 def cmd_export_dot(args) -> int:
@@ -195,17 +211,11 @@ def cmd_export_dot(args) -> int:
     if args.what == "bypass-graph":
         _check_bounds(args.n, args.e, args.max_n)
         lines = [f'digraph "bypass_{args.n}_{args.e}" {{']
-        objs = enumerate_objects(args.n, args.e)
-        names = {g: "m" + "_".join(str(p) for p in to_matching(g)) for g in objs}
-        for g in objs:
-            lines.append(f'  {names[g]};')
-        for g in objs:
-            targets = sorted(
-                {bypass.attach(g, mv) for mv in bypass.enumerate_bypasses(g)},
-                key=to_matching,
-            )
-            for t in targets:
-                lines.append(f"  {names[g]} -> {names[t]};")
+        graph = bypass.bypass_graph(args.n, args.e)
+        lines += [f"  {_dot_name(g)};" for g in graph]
+        for g, targets in graph.items():
+            for t in sorted(targets, key=to_matching):
+                lines.append(f"  {_dot_name(g)} -> {_dot_name(t)};")
         lines.append("}")
         sys.stdout.write("\n".join(lines) + "\n")
         return 0
@@ -216,15 +226,11 @@ def cmd_export_dot(args) -> int:
         g = _load_ds(args.ds)
         mv = _load_move(g, args.move)
         tri = bypass.triangle(g, mv)
-        names = {
-            x: "m" + "_".join(str(p) for p in to_matching(x))
-            for x in (tri.g1, tri.g2, tri.g3)
-        }
         lines = ['digraph "triangle" {']
         for x in (tri.g1, tri.g2, tri.g3):
-            lines.append(f"  {names[x]};")
+            lines.append(f"  {_dot_name(x)};")
         for a, b in ((tri.g1, tri.g2), (tri.g2, tri.g3), (tri.g3, tri.g1)):
-            lines.append(f"  {names[a]} -> {names[b]};")
+            lines.append(f"  {_dot_name(a)} -> {_dot_name(b)};")
         lines.append("}")
         sys.stdout.write("\n".join(lines) + "\n")
         return 0
@@ -237,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="diskcontact", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     parser.add_argument("--max-n", type=int, default=8, help="hard bound on n (default 8)")
-    parser.add_argument("--jobs", type=int, default=1, help="worker count (reserved; suites run sequentially)")
-    parser.add_argument("--seed", type=int, default=None, help="reserved, unused: all computation is exhaustive")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="objects of one component")

@@ -175,10 +175,13 @@ def validate(ds: DividingSet) -> ValidationReport:
         bad.append("P2: based component missing or does not contain 0")
 
     all_labels = [s for _, ls in ds.components for s in ls]
-    if sorted(all_labels) != list(range(ds.n + 1)):
+    # the length test first keeps a huge n from building a huge range
+    if len(all_labels) != ds.n + 1 or sorted(all_labels) != list(range(ds.n + 1)):
         bad.append("P5: components do not partition {0..n}")
     if any(tuple(sorted(ls)) != ls or not ls for _, ls in ds.components):
         bad.append("P5: component label tuples must be nonempty ascending")
+    if not all(ls for _, ls in ds.components):
+        return ValidationReport(False, tuple(bad))  # the gap checks need labels
 
     for v, ls in ds.components:
         if v == STAR:
@@ -569,11 +572,3 @@ def ds_from_json(obj: Mapping) -> DividingSet:
         for c in obj["components"]
     }
     return DividingSet.make(int(obj["n"]), int(obj["e"]), comps)
-
-
-def matching_to_json(m: Matching) -> list[int]:
-    return list(m)
-
-
-def matching_from_json(obj: Sequence[int]) -> Matching:
-    return tuple(int(x) for x in obj)

@@ -17,12 +17,11 @@ label 0 sits relative to the arc.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .bypass import BypassMove, Triangle, attach, enumerate_bypasses, zero_region
+from .bypass import BypassMove, Triangle, attach, zero_region
 from .divset import (
     STAR,
     DividingSet,
@@ -34,7 +33,7 @@ from .divset import (
     parent,
 )
 from .errors import IndexNotApplicable, InvalidMove
-from .homs import hom_nonzero, tight_basic
+from .homs import bypass_chain, hom_nonzero, tight_basic
 from .kom import ChainMap, Complex, ProjSummand, compose, identity_map, shift, zero_map
 
 
@@ -172,13 +171,6 @@ def f_data(ds: DividingSet) -> FData:
 
 def build_F(ds: DividingSet) -> Complex:
     return f_data(ds).complex
-
-
-def F_of_object(obj) -> Complex:
-    """Image of an object; the zero-object marker maps to the empty complex."""
-    if isinstance(obj, DividingSet):
-        return build_F(obj)
-    return Complex((), frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -461,40 +453,13 @@ def gamma_chain_map(tri: Triangle) -> ChainMap:
     return ChainMap(src.complex, dst.complex, k, frozenset(entries))
 
 
-@lru_cache(maxsize=None)
-def _bypass_chain(g: DividingSet, g2: DividingSet) -> Optional[tuple[BypassMove, ...]]:
-    """Shortest bypass chain from g to g2 through stages with hom into g2."""
-    if g == g2:
-        return ()
-    prev: dict[DividingSet, tuple[DividingSet, BypassMove]] = {}
-    queue = deque([g])
-    seen = {g}
-    while queue:
-        cur = queue.popleft()
-        for mv in enumerate_bypasses(cur):
-            nxt = attach(cur, mv)
-            if nxt in seen or not hom_nonzero(nxt, g2):
-                continue
-            seen.add(nxt)
-            prev[nxt] = (cur, mv)
-            if nxt == g2:
-                chain = []
-                node = g2
-                while node != g:
-                    node, mv2 = prev[node]
-                    chain.append(mv2)
-                return tuple(reversed(chain))
-            queue.append(nxt)
-    return None
-
-
 def F_of_morphism(g: DividingSet, g2: DividingSet) -> ChainMap:
     """Image of the generator of Hom(g, g2); the zero map when the hom is."""
     if g == g2:
         return identity_map(build_F(g))
     if not hom_nonzero(g, g2):
         return zero_map(build_F(g), build_F(g2))
-    chain = _bypass_chain(g, g2)
+    chain = bypass_chain(g, g2)
     assert chain is not None, "tight morphism with no bypass decomposition"
     f = identity_map(build_F(g))
     for mv in chain:

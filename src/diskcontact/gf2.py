@@ -73,10 +73,6 @@ def solve(columns: Sequence[int], target: int) -> Optional[list[int]]:
     return [i for i in range(len(columns)) if (combo >> i) & 1]
 
 
-def in_span(columns: Sequence[int], target: int) -> bool:
-    return solve(columns, target) is not None
-
-
 def nullspace(columns: Sequence[int]) -> list[int]:
     """Basis of {x : sum x_i columns[i] = 0}, each x a bitmask over indices."""
     elim = Eliminator()

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
+from typing import Optional
 
+from .bypass import BypassMove, attach, enumerate_bypasses
 from .divset import DividingSet, to_matching
 from .errors import ComponentMismatch, NotBasic
 
@@ -90,24 +92,7 @@ def composition_nonzero(g: DividingSet, g2: DividingSet, g3: DividingSet) -> boo
         return False
     if g == g2 or g2 == g3:
         return True
-    return g2 in _forward_reachable(g, g3)
-
-
-@lru_cache(maxsize=None)
-def _forward_reachable(g: DividingSet, g3: DividingSet) -> frozenset:
-    """Objects reachable from g by bypasses through stages with Hom(-, g3) != 0."""
-    from .bypass import enumerate_bypasses, attach
-
-    seen = {g}
-    queue = deque([g])
-    while queue:
-        cur = queue.popleft()
-        for move in enumerate_bypasses(cur):
-            nxt = attach(cur, move)
-            if nxt not in seen and hom_nonzero(nxt, g3):
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(seen)
+    return g2 in _reachable(g, g3, True)
 
 
 def composition_nonzero_right(g: DividingSet, g2: DividingSet, g3: DividingSet) -> bool:
@@ -118,21 +103,56 @@ def composition_nonzero_right(g: DividingSet, g2: DividingSet, g3: DividingSet) 
         return False
     if g == g2 or g2 == g3:
         return True
-    return g3 in _backward_reachable(g2, g)
+    return g3 in _reachable(g2, g, False)
 
 
 @lru_cache(maxsize=None)
-def _backward_reachable(g2: DividingSet, g: DividingSet) -> frozenset:
-    """Objects reachable from g2 by bypasses through stages with Hom(g, -) != 0."""
-    from .bypass import enumerate_bypasses, attach
+def bypass_chain(g: DividingSet, g2: DividingSet) -> Optional[tuple[BypassMove, ...]]:
+    """Shortest bypass chain from g to g2 through stages with hom into g2."""
+    if g == g2:
+        return ()
+    prev = _bypass_search(g, g2, into=True, stop=g2)
+    if g2 not in prev:
+        return None
+    chain = []
+    node = g2
+    while node != g:
+        node, move = prev[node]
+        chain.append(move)
+    return tuple(reversed(chain))
 
-    seen = {g2}
-    queue = deque([g2])
+
+@lru_cache(maxsize=None)
+def _reachable(start: DividingSet, anchor: DividingSet, into: bool) -> frozenset:
+    """Objects the bypass search from start reaches; cached as a set only,
+    which holds less than the search's parent map."""
+    return frozenset(_bypass_search(start, anchor, into))
+
+
+def _bypass_search(
+    start: DividingSet,
+    anchor: DividingSet,
+    into: bool,
+    stop: Optional[DividingSet] = None,
+) -> dict:
+    """Breadth-first search over nontrivial bypasses from start.
+
+    A stage X is kept when Hom(X, anchor) != 0 (into) or Hom(anchor, X) != 0
+    (not into).  Maps each reached stage to (previous stage, move), start to
+    None, and returns as soon as stop is reached.
+    """
+    prev: dict = {start: None}
+    queue = deque([start])
     while queue:
         cur = queue.popleft()
         for move in enumerate_bypasses(cur):
             nxt = attach(cur, move)
-            if nxt not in seen and hom_nonzero(g, nxt):
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(seen)
+            if nxt in prev:
+                continue
+            if not (hom_nonzero(nxt, anchor) if into else hom_nonzero(anchor, nxt)):
+                continue
+            prev[nxt] = (cur, move)
+            if nxt == stop:
+                return prev
+            queue.append(nxt)
+    return prev

@@ -14,6 +14,7 @@ to degree h+k.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -116,10 +117,6 @@ def shift(c: Complex, k: int) -> Complex:
     return Complex(tuple(ProjSummand(s.gamma, s.h - k) for s in c.summands), c.d)
 
 
-def shift_map(f: ChainMap, k: int) -> ChainMap:
-    return ChainMap(shift(f.src, k), shift(f.dst, k), f.k, f.entries)
-
-
 def identity_map(c: Complex) -> ChainMap:
     return ChainMap(c, c, 0, frozenset((i, i) for i in range(c.size)))
 
@@ -207,12 +204,23 @@ def hom_dim(src: Complex, dst: Complex, k: int) -> int:
     return (len(b_k) - gf2.rank(d_k)) - gf2.rank(d_prev)
 
 
+def hom_by_degree(src: Complex, dst: Complex) -> dict[int, int]:
+    """The nonzero hom_dim(src, dst, k), keyed by ascending degree k.
+
+    A degree no summand pair is apart by has an empty map basis, so only
+    those degrees are computed; the count is bounded by the input size
+    even when the summand degrees are far apart.
+    """
+    out = {}
+    for k in sorted({b.h - a.h for a in src.summands for b in dst.summands}):
+        dim = hom_dim(src, dst, k)
+        if dim:
+            out[k] = dim
+    return out
+
+
 def hom_total(src: Complex, dst: Complex) -> int:
-    if not src.summands or not dst.summands:
-        return 0
-    lo = min(s.h for s in dst.summands) - max(s.h for s in src.summands)
-    hi = max(s.h for s in dst.summands) - min(s.h for s in src.summands)
-    return sum(hom_dim(src, dst, k) for k in range(lo, hi + 1))
+    return sum(hom_by_degree(src, dst).values())
 
 
 def find_homotopy(f: ChainMap, g: ChainMap) -> Optional[Homotopy]:
@@ -424,35 +432,14 @@ def _repair_differential(
                 for a, b in sq
                 if _block_of(a, offsets) == bi and _block_of(b, offsets) == bj
             ]
-            basis_h = [
-                (a, b)
-                for a in range(res_i.size)
-                for b in range(res_j.size)
-                if tight_basic(res_i.summands[a].gamma, res_j.summands[b].gamma)
-                and res_j.summands[b].h + hshift == res_i.summands[a].h + 1
-            ]
+            basis_h = map_basis(res_i, res_j, 1 - hshift)
             # D(h) must cancel the local failure: solve over single entries
-            pos_basis = [
-                (a, b)
-                for a in range(res_i.size)
-                for b in range(res_j.size)
-                if tight_basic(res_i.summands[a].gamma, res_j.summands[b].gamma)
-                and res_j.summands[b].h + hshift == res_i.summands[a].h + 2
-            ]
+            pos_basis = map_basis(res_i, res_j, 2 - hshift)
             pos = {p: t for t, p in enumerate(pos_basis)}
             target = 0
             for p in local:
                 target |= 1 << pos[p]
-            cols = []
-            for (a, b) in basis_h:
-                img = _compose_entries(
-                    [(a, b)], res_j.d, res_i, res_j
-                ) ^ _compose_entries(res_i.d, [(a, b)], res_i, res_j)
-                v = 0
-                for p in img:
-                    if p in pos:
-                        v |= 1 << pos[p]
-                cols.append(v)
+            cols = _differential_on_maps(res_i, res_j, 1 - hshift, basis_h, pos_basis)
             sol = gf2.solve(cols, target)
             if sol is None:
                 raise ShapeMismatch("no homotopy correction for rotation square")
@@ -463,11 +450,7 @@ def _repair_differential(
 
 
 def _block_of(index: int, offsets: list[int]) -> int:
-    lo = 0
-    for b, off in enumerate(offsets):
-        if index >= off:
-            lo = b
-    return lo
+    return bisect_right(offsets, index) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -79,15 +79,15 @@ class _Runner:
         self.report = SuiteReport(suite, n, e)
 
     def run(self, check_id: str, fn) -> None:
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             bad = fn()  # None if fine, else a counterexample payload
             self.report.checks.append(
-                Check(check_id, bad is None, bad, time.time() - t0)
+                Check(check_id, bad is None, bad, time.perf_counter() - t0)
             )
         except Exception as exc:  # a crash is a failure with the error recorded
             self.report.checks.append(
-                Check(check_id, False, {"error": repr(exc)}, time.time() - t0)
+                Check(check_id, False, {"error": repr(exc)}, time.perf_counter() - t0)
             )
 
 

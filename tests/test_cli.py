@@ -1,6 +1,14 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diskcontact import bypass, functor, kom
 from diskcontact.cli import main
+from diskcontact.divset import ds_to_json, enumerate_objects, vector_to_json
 
 DS_EXG4 = json.dumps(
     {
@@ -156,3 +164,109 @@ def test_export_triangle(capsys):
     assert code == 0
     lines = [l for l in out.splitlines() if "->" in l]
     assert len(lines) == 3
+
+
+BAD_GAMMA = {"n": 1, "e": 0, "components": [{"v": "*", "labels": [0, 1, 5]}]}
+P_N1 = {"n": 1, "e": 1, "components": [{"v": "*", "labels": [0, 1]}]}
+
+
+def _cx(*gammas):
+    return json.dumps({"summands": [{"gamma": g, "h": 0} for g in gammas], "d": []})
+
+
+def test_homdim_rejects_invalid_summand(capsys):
+    assert main(["homdim", "--src", _cx(BAD_GAMMA), "--dst", _cx(BAD_GAMMA)]) == 3
+    assert main(["homdim", "--src", _cx(BAD_GAMMA), "--dst", _cx(P_N1)]) == 3
+    assert "invalid dividing set" in capsys.readouterr().err
+
+
+def test_homdim_non_basic_summand_exits_3(capsys):
+    non_basic = {
+        "n": 2,
+        "e": 1,
+        "components": [{"v": "*", "labels": [0]}, {"v": [1], "labels": [1, 2]}],
+    }
+    assert main(["homdim", "--src", _cx(non_basic), "--dst", _cx(non_basic)]) == 3
+    assert "not basic" in capsys.readouterr().err
+
+
+def test_homdim_far_apart_degrees(capsys):
+    far = json.dumps(
+        {"summands": [{"gamma": P_N1, "h": 0}, {"gamma": P_N1, "h": 10**18}], "d": []}
+    )
+    code, out = run(capsys, "homdim", "--src", far, "--dst", far)
+    assert code == 0
+    assert json.loads(out) == {"by_degree": {"0": 2, str(-(10**18)): 1, str(10**18): 1}, "total": 4}
+
+
+def test_removed_options_are_rejected(capsys):
+    assert main(["--jobs", "2", "enumerate", "--n", "1", "--e", "0"]) == 2
+    assert main(["--seed", "1", "enumerate", "--n", "1", "--e", "0"]) == 2
+    capsys.readouterr()
+
+
+# --- fuzzing: arbitrary JSON, near-valid shapes and valid inputs --------------
+
+_OBJS = [g for n in range(4) for e in range(n + 1) for g in enumerate_objects(n, e)]
+_VALID_DS = [ds_to_json(g) for g in _OBJS]
+_VALID_MOVES = [
+    (
+        ds_to_json(g),
+        {"uv": vector_to_json(mv.uv), "ov": vector_to_json(mv.ov), "x": mv.x, "y": mv.y, "z": mv.z},
+    )
+    for g in _OBJS
+    for mv in bypass.enumerate_bypasses(g)
+]
+_VALID_CX = [kom.complex_to_json(functor.build_F(g)) for g in _OBJS]
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=10,
+)
+_number = st.integers(-1, 6) | st.integers() | st.floats()
+_vector = st.just("*") | st.lists(st.integers(0, 3), max_size=3) | _json
+_ds = st.sampled_from(_VALID_DS) | _json | st.fixed_dictionaries(
+    {
+        "n": _number,
+        "e": _number,
+        "components": st.lists(
+            st.fixed_dictionaries(
+                {"v": _vector, "labels": st.lists(st.integers(-1, 6), max_size=4)}
+            ),
+            max_size=4,
+        ),
+    }
+)
+_move = _json | st.fixed_dictionaries(
+    {"uv": _vector, "ov": _vector, "x": _number, "y": _number, "z": _number}
+)
+_cx_like = st.sampled_from(_VALID_CX) | _json | st.fixed_dictionaries(
+    {
+        "summands": st.lists(st.fixed_dictionaries({"gamma": _ds, "h": _number}), max_size=3),
+        "d": st.lists(st.tuples(_number, _number) | _json, max_size=3),
+    }
+)
+
+_ds_and_move = (st.sampled_from(_VALID_MOVES) | st.tuples(_ds, _move)).map(
+    lambda p: {"--ds": p[0], "--move": p[1]}
+)
+_ARGS = {
+    "hom": st.tuples(_ds, _ds).map(lambda p: {"--src": p[0], "--dst": p[1]}),
+    "complex": _ds.map(lambda g: {"--ds": g}),
+    "chainmap": _ds_and_move,
+    "triangle": _ds_and_move,
+    "homdim": st.tuples(_cx_like, _cx_like).map(lambda p: {"--src": p[0], "--dst": p[1]}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ARGS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuzzed_json_exits_cleanly(command, data):
+    argv = [command]
+    for flag, value in data.draw(_ARGS[command]).items():
+        argv += [flag, json.dumps(value)]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3)

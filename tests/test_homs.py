@@ -2,10 +2,12 @@ import itertools
 
 import pytest
 
-from diskcontact import bypass
+from diskcontact import bypass, kom
 from diskcontact.divset import basic_of, basic_sets, enumerate_objects
 from diskcontact.errors import ComponentMismatch, NotBasic
+from diskcontact.functor import F_of_morphism
 from diskcontact.homs import (
+    bypass_chain,
     composition_nonzero,
     composition_nonzero_right,
     hom_nonzero,
@@ -88,11 +90,55 @@ def test_composition_blocked_label():
     assert not composition_nonzero(g1, g2, g3)
 
 
+def _levels_into(g, g2):
+    """Frontier-by-frontier distances from g over bypass stages with hom into g2."""
+    dist = {g: 0}
+    frontier = {g}
+    step = 0
+    while frontier:
+        step += 1
+        nxt = {bypass.attach(x, mv) for x in frontier for mv in bypass.enumerate_bypasses(x)}
+        frontier = {y for y in nxt if y not in dist and hom_nonzero(y, g2)}
+        dist.update(dict.fromkeys(frontier, step))
+    return dist
+
+
+@pytest.mark.parametrize("n,e", pairs_up_to(4))
+def test_bypass_chain_is_a_shortest_chain_into_target(n, e):
+    objs = enumerate_objects(n, e)
+    for g, g2 in itertools.product(objs, repeat=2):
+        if not hom_nonzero(g, g2):
+            continue
+        chain = bypass_chain(g, g2)
+        assert chain is not None
+        stage = g
+        for mv in chain:
+            assert mv.source == stage
+            stage = bypass.attach(stage, mv)
+            assert hom_nonzero(stage, g2)
+        assert stage == g2
+        assert len(chain) == _levels_into(g, g2)[g2]
+
+
 @pytest.mark.parametrize("n,e", pairs_up_to(4))
 def test_composition_order_insensitive(n, e):
     objs = enumerate_objects(n, e)
     for g, g2, g3 in itertools.product(objs, repeat=3):
         assert composition_nonzero(g, g2, g3) == composition_nonzero_right(g, g2, g3)
+
+
+@pytest.mark.parametrize("n,e", pairs_up_to(4))
+def test_composition_matches_functor_image(n, e):
+    # the search's stage filter is what makes some composites of nonzero
+    # homs vanish; the image complexes decide the same question independently
+    objs = enumerate_objects(n, e)
+    for g, g2, g3 in itertools.product(objs, repeat=3):
+        if not (hom_nonzero(g, g2) and hom_nonzero(g2, g3)):
+            continue
+        f = kom.compose(F_of_morphism(g, g2), F_of_morphism(g2, g3))
+        nonzero = not kom.is_nullhomotopic(f)
+        assert composition_nonzero(g, g2, g3) == nonzero
+        assert composition_nonzero_right(g, g2, g3) == nonzero
 
 
 @pytest.mark.parametrize("n,e", pairs_up_to(4))
