@@ -56,17 +56,18 @@ def _check_ds(ds: DividingSet) -> None:
         raise SystemExit(EXIT_INVALID)
 
 
-def _load_ds(text: str) -> DividingSet:
+def _load_ds(text: str, max_n: int) -> DividingSet:
     try:
         ds = ds_from_json(json.loads(text))
     except _UNPARSEABLE as exc:
         print(f"error: unparseable dividing set: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+    _check_max_n(ds.n, max_n)
     _check_ds(ds)
     return ds
 
 
-def _load_complex(text: str) -> kom.Complex:
+def _load_complex(text: str, max_n: int) -> kom.Complex:
     try:
         c = kom.complex_from_json(json.loads(text))
     except NotBasic as exc:
@@ -76,6 +77,7 @@ def _load_complex(text: str) -> kom.Complex:
         print(f"error: unparseable complex: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     for s in c.summands:
+        _check_max_n(s.gamma.n, max_n)
         _check_ds(s.gamma)
     return c
 
@@ -106,6 +108,10 @@ def _check_bounds(n: int, e: int, max_n: int) -> None:
     if not 0 <= e <= n:
         print("error: need 0 <= e <= n", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+    _check_max_n(n, max_n)
+
+
+def _check_max_n(n: int, max_n: int) -> None:
     if n > max_n:
         print(
             f"error: n={n} above the configured bound {max_n} (raise with --max-n)",
@@ -126,8 +132,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_hom(args) -> int:
-    g = _load_ds(args.src)
-    g2 = _load_ds(args.dst)
+    g = _load_ds(args.src, args.max_n)
+    g2 = _load_ds(args.dst, args.max_n)
     try:
         dim = 1 if homs.hom_nonzero(g, g2) else 0
     except DiskContactError as exc:
@@ -138,13 +144,13 @@ def cmd_hom(args) -> int:
 
 
 def cmd_complex(args) -> int:
-    g = _load_ds(args.ds)
+    g = _load_ds(args.ds, args.max_n)
     _emit(kom.complex_to_json(functor.build_F(g)))
     return 0
 
 
 def cmd_chainmap(args) -> int:
-    g = _load_ds(args.ds)
+    g = _load_ds(args.ds, args.max_n)
     mv = _load_move(g, args.move)
     f = functor.chain_map_F(mv)
     _emit(kom.chain_map_to_json(f))
@@ -152,7 +158,7 @@ def cmd_chainmap(args) -> int:
 
 
 def cmd_triangle(args) -> int:
-    g = _load_ds(args.ds)
+    g = _load_ds(args.ds, args.max_n)
     mv = _load_move(g, args.move)
     tri = bypass.triangle(g, mv)
     _emit(
@@ -165,8 +171,8 @@ def cmd_triangle(args) -> int:
 
 
 def cmd_homdim(args) -> int:
-    a = _load_complex(args.src)
-    b = _load_complex(args.dst)
+    a = _load_complex(args.src, args.max_n)
+    b = _load_complex(args.dst, args.max_n)
     if not (kom.verify_complex(a) and kom.verify_complex(b)):
         print("error: input is not a complex (d^2 != 0 or bad entries)", file=sys.stderr)
         return EXIT_INVALID
@@ -185,16 +191,17 @@ def cmd_verify(args) -> int:
         print(
             f"warning: homotopy-level suites at n={args.n} may be slow", file=sys.stderr
         )
+
+    def show(c: suites.Check) -> None:
+        # flushed per check, so a killed run still leaves what it finished
+        print(f"{'PASS' if c.ok else 'FAIL'} {c.check_id} ({c.duration:.2f}s)", flush=True)
+        if not c.ok and c.counterexample is not None:
+            print("     " + json.dumps(c.counterexample, sort_keys=True), flush=True)
+
     t0 = time.perf_counter()
-    reports = suites.run_suite(args.suite, args.n, args.e)
-    ok = True
-    for rep in reports:
-        for c in rep.checks:
-            status = "PASS" if c.ok else "FAIL"
-            print(f"{status} {c.check_id} ({c.duration:.2f}s)")
-            if not c.ok and c.counterexample is not None:
-                print("     " + json.dumps(c.counterexample, sort_keys=True))
-        ok = ok and rep.ok
+    with suites.reporting(show):
+        reports = suites.run_suite(args.suite, args.n, args.e)
+    ok = all(rep.ok for rep in reports)
     print(f"{'PASS' if ok else 'FAIL'} suite={args.suite} n={args.n} e={args.e} ({time.perf_counter() - t0:.2f}s)")
     return 0 if ok else EXIT_FAIL
 
@@ -223,7 +230,7 @@ def cmd_export_dot(args) -> int:
         if not args.ds or not args.move:
             print("error: triangle export needs --ds and --move", file=sys.stderr)
             return EXIT_USAGE
-        g = _load_ds(args.ds)
+        g = _load_ds(args.ds, args.max_n)
         mv = _load_move(g, args.move)
         tri = bypass.triangle(g, mv)
         lines = ['digraph "triangle" {']

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .bypass import BypassMove, attach, enumerate_bypasses
-from .divset import DividingSet, to_matching
+from .divset import DividingSet, Matching, enumerate_objects, to_matching
 from .errors import ComponentMismatch, NotBasic
 
 
@@ -33,11 +33,8 @@ def _check_same_component(g: DividingSet, g2: DividingSet) -> None:
         raise ComponentMismatch(f"({g.n},{g.e}) vs ({g2.n},{g2.e})")
 
 
-@lru_cache(maxsize=None)
-def rounded_components(g: DividingSet, g2: DividingSet) -> int:
-    """Number of closed curves after stacking g under g2 and edge rounding."""
-    _check_same_component(g, g2)
-    m, m2 = to_matching(g), to_matching(g2)
+def _curves(m: Matching, m2: Matching) -> int:
+    """Closed curves after stacking matching m under m2 and edge rounding."""
     size = len(m)
     seen = [False] * size
     cycles = 0
@@ -51,6 +48,13 @@ def rounded_components(g: DividingSet, g2: DividingSet) -> int:
             p = m2[(m[p] - 2) % size]
     assert cycles % 2 == 0
     return cycles // 2
+
+
+@lru_cache(maxsize=None)
+def rounded_components(g: DividingSet, g2: DividingSet) -> int:
+    """Number of closed curves after stacking g under g2 and edge rounding."""
+    _check_same_component(g, g2)
+    return _curves(to_matching(g), to_matching(g2))
 
 
 def hom_nonzero(g: DividingSet, g2: DividingSet) -> bool:
@@ -92,7 +96,8 @@ def composition_nonzero(g: DividingSet, g2: DividingSet, g3: DividingSet) -> boo
         return False
     if g == g2 or g2 == g3:
         return True
-    return g2 in _reachable(g, g3, True)
+    comp = component(g.n, g.e)
+    return bool(comp.reach(comp.id(g), comp.id(g3), True) >> comp.id(g2) & 1)
 
 
 def composition_nonzero_right(g: DividingSet, g2: DividingSet, g3: DividingSet) -> bool:
@@ -103,56 +108,230 @@ def composition_nonzero_right(g: DividingSet, g2: DividingSet, g3: DividingSet) 
         return False
     if g == g2 or g2 == g3:
         return True
-    return g3 in _reachable(g2, g, False)
+    comp = component(g.n, g.e)
+    return bool(comp.reach(comp.id(g2), comp.id(g), False) >> comp.id(g3) & 1)
 
 
-@lru_cache(maxsize=None)
 def bypass_chain(g: DividingSet, g2: DividingSet) -> Optional[tuple[BypassMove, ...]]:
     """Shortest bypass chain from g to g2 through stages with hom into g2."""
+    _check_same_component(g, g2)
     if g == g2:
         return ()
-    prev = _bypass_search(g, g2, into=True, stop=g2)
-    if g2 not in prev:
+    comp = component(g.n, g.e)
+    start, target = comp.id(g), comp.id(g2)
+    prev = _bypass_search(comp, start, target, True, stop=target)
+    if target not in prev:
         return None
     chain = []
-    node = g2
-    while node != g:
+    node = target
+    while node != start:
         node, move = prev[node]
         chain.append(move)
     return tuple(reversed(chain))
 
 
-@lru_cache(maxsize=None)
-def _reachable(start: DividingSet, anchor: DividingSet, into: bool) -> frozenset:
-    """Objects the bypass search from start reaches; cached as a set only,
-    which holds less than the search's parent map."""
-    return frozenset(_bypass_search(start, anchor, into))
+@lru_cache(maxsize=8)
+def component(n: int, e: int) -> Component:
+    """The shared index of the (n, e) component."""
+    return Component(n, e)
+
+
+class Component:
+    """Interned objects of one (n, e) component and the 0/1 data on them.
+
+    Objects get integer ids on first use, so a point query interns only
+    the objects it touches.  A mask is an int whose bit i stands for the
+    object with id i.  Bypass successors, hom rows, reachability masks and
+    the composition masks built from them are filled on demand and kept;
+    a hom row or a composition mask covers the whole component, so asking
+    for one enumerates it.
+    """
+
+    def __init__(self, n: int, e: int):
+        self.n, self.e = n, e
+        self.objects: list[DividingSet] = []
+        self.matchings: list[Matching] = []
+        self._ids: dict[DividingSet, int] = {}
+        self._order: Optional[list[int]] = None
+        self._successors: dict[int, tuple[tuple[int, BypassMove], ...]] = {}
+        self._out: dict[int, int] = {}  # i -> mask of j with Hom(i, j) != 0
+        self._in: dict[int, int] = {}  # j -> mask of i with Hom(i, j) != 0
+        self._reach: dict[tuple[int, int, bool], int] = {}
+        # transposed reachability, keyed by the fixed anchor or start
+        self._into_by_anchor: dict[int, dict[int, int]] = {}
+        self._into_by_start: dict[int, dict[int, int]] = {}
+        self._from_by_anchor: dict[int, dict[int, int]] = {}
+
+    def id(self, g: DividingSet) -> int:
+        i = self._ids.get(g)
+        if i is None:
+            i = self._ids[g] = len(self.objects)
+            self.objects.append(g)
+            self.matchings.append(to_matching(g))
+        return i
+
+    def ids(self) -> list[int]:
+        """Ids of all objects, in the order of enumerate_objects."""
+        if self._order is None:
+            self._order = [self.id(g) for g in enumerate_objects(self.n, self.e)]
+        return self._order
+
+    def successors(self, i: int) -> tuple[tuple[int, BypassMove], ...]:
+        """(target id, move) for every nontrivial bypass on object i, in
+        the order of enumerate_bypasses."""
+        succ = self._successors.get(i)
+        if succ is None:
+            g = self.objects[i]
+            succ = tuple((self.id(attach(g, mv)), mv) for mv in enumerate_bypasses(g))
+            self._successors[i] = succ
+        return succ
+
+    def hom_out(self, i: int) -> int:
+        """Mask of j with Hom(i, j) != 0."""
+        row = self._out.get(i)
+        if row is None:
+            m, ms = self.matchings[i], self.matchings
+            row = self._out[i] = _mask(j for j in self.ids() if _curves(m, ms[j]) == 1)
+        return row
+
+    def hom_in(self, j: int) -> int:
+        """Mask of i with Hom(i, j) != 0."""
+        col = self._in.get(j)
+        if col is None:
+            m, ms = self.matchings[j], self.matchings
+            col = self._in[j] = _mask(i for i in self.ids() if _curves(ms[i], m) == 1)
+        return col
+
+    def _stage_filter(self, anchor: int, into: bool) -> Callable[[int], bool]:
+        """Predicate on ids: Hom(X, anchor) != 0 (into) or Hom(anchor, X) != 0.
+
+        Reads the anchor's hom row when it is filled; otherwise counts the
+        curves of each stage, so a point query fills no row.
+        """
+        row = (self._in if into else self._out).get(anchor)
+        if row is not None:
+            return lambda x: row >> x & 1
+        ms, m = self.matchings, self.matchings[anchor]
+        if into:
+            return lambda x: _curves(ms[x], m) == 1
+        return lambda x: _curves(m, ms[x]) == 1
+
+    def reach(self, start: int, anchor: int, into: bool) -> int:
+        """Mask of the stages the bypass search from start reaches."""
+        key = (start, anchor, into)
+        mask = self._reach.get(key)
+        if mask is None:
+            mask = self._reach[key] = _mask(_bypass_search(self, start, anchor, into))
+        return mask
+
+    def _row_reach(self, start: int, anchor: int, into: bool) -> int:
+        """reach, after filling the anchor's hom row the search reads."""
+        (self.hom_in if into else self.hom_out)(anchor)
+        return self.reach(start, anchor, into)
+
+    # Composition masks.  Bit for bit they equal composition_nonzero
+    # (middles, sources, targets) and composition_nonzero_right
+    # (middles_right) with one position left free.
+
+    def middles(self, i: int, k: int) -> int:
+        """Mask of j with composition_nonzero(i, j, k)."""
+        if not self.hom_out(i) >> k & 1:
+            return 0
+        return self.hom_out(i) & self.hom_in(k) & (self._row_reach(i, k, True) | 1 << k)
+
+    def middles_right(self, i: int, k: int) -> int:
+        """Mask of j with composition_nonzero_right(i, j, k)."""
+        if not self.hom_out(i) >> k & 1:
+            return 0
+        cols = _cached(
+            self._from_by_anchor,
+            i,
+            lambda: _transpose((j, self._row_reach(j, i, False)) for j in _bits(self.hom_out(i))),
+        )
+        return self.hom_out(i) & self.hom_in(k) & (cols.get(k, 0) | 1 << i | 1 << k)
+
+    def sources(self, j: int, k: int) -> int:
+        """Mask of i with composition_nonzero(i, j, k)."""
+        if not self.hom_out(j) >> k & 1:
+            return 0
+        if j == k:
+            return self.hom_in(j)
+        cols = _cached(
+            self._into_by_anchor,
+            k,
+            lambda: _transpose((i, self._row_reach(i, k, True)) for i in _bits(self.hom_in(k))),
+        )
+        return self.hom_in(j) & self.hom_in(k) & (cols.get(j, 0) | 1 << j)
+
+    def targets(self, i: int, j: int) -> int:
+        """Mask of k with composition_nonzero(i, j, k)."""
+        if not self.hom_out(i) >> j & 1:
+            return 0
+        if i == j:
+            return self.hom_out(i)
+        cols = _cached(
+            self._into_by_start,
+            i,
+            lambda: _transpose((k, self._row_reach(i, k, True)) for k in _bits(self.hom_out(i))),
+        )
+        return self.hom_out(i) & self.hom_out(j) & (cols.get(j, 0) | 1 << j)
 
 
 def _bypass_search(
-    start: DividingSet,
-    anchor: DividingSet,
+    comp: Component,
+    start: int,
+    anchor: int,
     into: bool,
-    stop: Optional[DividingSet] = None,
+    stop: Optional[int] = None,
 ) -> dict:
-    """Breadth-first search over nontrivial bypasses from start.
+    """Breadth-first search over nontrivial bypasses from start, on ids.
 
     A stage X is kept when Hom(X, anchor) != 0 (into) or Hom(anchor, X) != 0
     (not into).  Maps each reached stage to (previous stage, move), start to
     None, and returns as soon as stop is reached.
     """
+    keep = comp._stage_filter(anchor, into)
     prev: dict = {start: None}
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for move in enumerate_bypasses(cur):
-            nxt = attach(cur, move)
-            if nxt in prev:
-                continue
-            if not (hom_nonzero(nxt, anchor) if into else hom_nonzero(anchor, nxt)):
+        for nxt, move in comp.successors(cur):
+            if nxt in prev or not keep(nxt):
                 continue
             prev[nxt] = (cur, move)
             if nxt == stop:
                 return prev
             queue.append(nxt)
     return prev
+
+
+def _mask(ids: Iterable[int]) -> int:
+    mask = 0
+    for i in ids:
+        mask |= 1 << i
+    return mask
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _transpose(rows: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Columns of a 0/1 matrix given as (row id, row mask) pairs: bit i of
+    column j is bit j of row i.  Empty columns are left out."""
+    cols: dict[int, int] = {}
+    for i, row in rows:
+        bit = 1 << i
+        for j in _bits(row):
+            cols[j] = cols.get(j, 0) | bit
+    return cols
+
+
+def _cached(store: dict, key, fill):
+    value = store.get(key)
+    if value is None:
+        value = store[key] = fill()
+    return value

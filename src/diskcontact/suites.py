@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import itertools
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from math import comb
+from typing import Callable, Iterator, Optional
 
 from . import algebra, bypass, functor, homs, kom
 from .divset import (
@@ -74,6 +77,21 @@ class SuiteReport:
         }
 
 
+# Set by `reporting`, rather than passed to run_suite, so that callers
+# and wrappers of run_suite(name, n, e) keep its signature.
+_on_check: ContextVar[Optional[Callable[[Check], None]]] = ContextVar("on_check", default=None)
+
+
+@contextmanager
+def reporting(on_check: Callable[[Check], None]) -> Iterator[None]:
+    """Within the block, every suite calls on_check with each check as it finishes."""
+    token = _on_check.set(on_check)
+    try:
+        yield
+    finally:
+        _on_check.reset(token)
+
+
 class _Runner:
     def __init__(self, suite: str, n: int, e: int):
         self.report = SuiteReport(suite, n, e)
@@ -82,13 +100,13 @@ class _Runner:
         t0 = time.perf_counter()
         try:
             bad = fn()  # None if fine, else a counterexample payload
-            self.report.checks.append(
-                Check(check_id, bad is None, bad, time.perf_counter() - t0)
-            )
+            check = Check(check_id, bad is None, bad, time.perf_counter() - t0)
         except Exception as exc:  # a crash is a failure with the error recorded
-            self.report.checks.append(
-                Check(check_id, False, {"error": repr(exc)}, time.perf_counter() - t0)
-            )
+            check = Check(check_id, False, {"error": repr(exc)}, time.perf_counter() - t0)
+        self.report.checks.append(check)
+        on_check = _on_check.get()
+        if on_check is not None:
+            on_check(check)
 
 
 def brute_force_counts(n: int) -> dict[int, int]:
@@ -189,19 +207,36 @@ def suite_homs(n: int, e: int) -> SuiteReport:
             if homs.tight_basic(g, g2) != homs.hom_nonzero(g, g2):
                 return {"src": ds_to_json(g), "dst": ds_to_json(g2)}
 
+    # The three checks below compare whole rows of the component index at
+    # once; bit i of a mask stands for comp.objects[i].  A failure reports
+    # the counterexample a loop over objs in enumeration order meets first.
+    comp = homs.component(n, e)
+    ids = comp.ids()
+
+    def js(i: int) -> dict:
+        return ds_to_json(comp.objects[i])
+
+    def first(mask: int) -> int:
+        return next(i for i in ids if mask >> i & 1)
+
     def serre_iff():
-        for g, g2 in itertools.product(objs, repeat=2):
-            if homs.hom_nonzero(g, g2) != homs.hom_nonzero(
-                g2, bypass.serre_rotate(g)
-            ):
-                return {"src": ds_to_json(g), "dst": ds_to_json(g2)}
+        for i in ids:
+            rotated = comp.id(bypass.serre_rotate(comp.objects[i]))
+            bad = comp.hom_out(i) ^ comp.hom_in(rotated)
+            if bad:
+                return {"src": js(i), "dst": js(first(bad))}
 
     def chain_order_insensitive():
-        for g, g2, g3 in itertools.product(objs, repeat=3):
-            if homs.composition_nonzero(g, g2, g3) != homs.composition_nonzero_right(
-                g, g2, g3
-            ):
-                return {"g": ds_to_json(g), "g2": ds_to_json(g2), "g3": ds_to_json(g3)}
+        for i in ids:
+            bad = 0
+            for k in ids:
+                bad |= comp.middles(i, k) ^ comp.middles_right(i, k)
+            if bad:
+                j = first(bad)
+                k = next(
+                    k for k in ids if (comp.middles(i, k) ^ comp.middles_right(i, k)) >> j & 1
+                )
+                return {"g": js(i), "g2": js(j), "g3": js(k)}
 
     def exactness():
         tris = set()
@@ -210,17 +245,15 @@ def suite_homs(n: int, e: int) -> SuiteReport:
                 t = bypass.triangle(g, mv)
                 tris.add((t.g1, t.g2, t.g3))
         for cyc in tris:
-            for x in objs:
-                for i in range(3):
-                    a, b, c = cyc[i], cyc[(i + 1) % 3], cyc[(i + 2) % 3]
-                    if int(homs.composition_nonzero(x, a, b)) != int(
-                        homs.hom_nonzero(x, b)
-                    ) - int(homs.composition_nonzero(x, b, c)):
-                        return {"x": ds_to_json(x), "triangle": [ds_to_json(t) for t in cyc]}
-                    if int(homs.composition_nonzero(b, c, x)) != int(
-                        homs.hom_nonzero(b, x)
-                    ) - int(homs.composition_nonzero(a, b, x)):
-                        return {"x": ds_to_json(x), "triangle": [ds_to_json(t) for t in cyc]}
+            t = [comp.id(x) for x in cyc]
+            bad = 0
+            for s in range(3):
+                a, b, c = t[s], t[(s + 1) % 3], t[(s + 2) % 3]
+                # Hom(x, -) and Hom(-, x) applied to the triangle, over all x
+                bad |= _not_exact(comp.sources(a, b), comp.sources(b, c), comp.hom_in(b))
+                bad |= _not_exact(comp.targets(b, c), comp.targets(a, b), comp.hom_out(b))
+            if bad:
+                return {"x": js(first(bad)), "triangle": [ds_to_json(x) for x in cyc]}
 
     r.run("homs.identity_one_curve", identity_tight)
     r.run("homs.greedy_matches_rounding", tight_vs_rounding)
@@ -228,6 +261,11 @@ def suite_homs(n: int, e: int) -> SuiteReport:
     r.run("homs.stack_order_insensitive", chain_order_insensitive)
     r.run("homs.triangle_exactness", exactness)
     return r.report
+
+
+def _not_exact(first: int, second: int, hom: int) -> int:
+    """Bits where first + second != hom, each mask read as 0/1 per bit."""
+    return (first & second) | ((first | second) ^ hom)
 
 
 def suite_functor(n: int, e: int) -> SuiteReport:

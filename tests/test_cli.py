@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diskcontact import bypass, functor, kom
+from diskcontact import bypass, functor, kom, suites
 from diskcontact.cli import main
-from diskcontact.divset import ds_to_json, enumerate_objects, vector_to_json
+from diskcontact.divset import basic_of, ds_to_json, enumerate_objects, vector_to_json
 
 DS_EXG4 = json.dumps(
     {
@@ -139,6 +139,23 @@ def test_verify_suite_pass(capsys):
     assert "PASS suite=all" in out
 
 
+def test_verify_prints_each_check_as_it_finishes(capsys, monkeypatch):
+    def killed(n, e):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(suites.SUITES, "serre", killed)
+    with pytest.raises(KeyboardInterrupt):
+        main(["verify", "--n", "2", "--e", "1", "--suite", "all"])
+    lines = capsys.readouterr().out.splitlines()
+    finished = [
+        c.check_id
+        for name in ("divset", "homs", "algebra", "functor", "triangles")
+        for c in suites.SUITES[name](2, 1).checks
+    ]
+    assert [line.split()[1] for line in lines] == finished
+    assert all(line.startswith("PASS ") for line in lines)
+
+
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "--n", "2", "--e", "1", "--suite", "nope"]) == 2
     capsys.readouterr()
@@ -164,6 +181,34 @@ def test_export_triangle(capsys):
     assert code == 0
     lines = [l for l in out.splitlines() if "->" in l]
     assert len(lines) == 3
+
+
+N9 = json.dumps(ds_to_json(basic_of(9, 1, {0, 1})))
+N9_CX = json.dumps({"summands": [{"gamma": json.loads(N9), "h": 0}], "d": []})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hom", "--src", N9, "--dst", N9],
+        ["complex", "--ds", N9],
+        ["chainmap", "--ds", N9, "--move", MV_T1],
+        ["triangle", "--ds", N9, "--move", MV_T1],
+        ["homdim", "--src", N9_CX, "--dst", N9_CX],
+        ["export-dot", "triangle", "--ds", N9, "--move", MV_T1],
+    ],
+    ids=lambda argv: argv[0] if argv[0] != "export-dot" else "export-dot-triangle",
+)
+def test_max_n_bounds_json_inputs(capsys, argv):
+    assert main(argv) == 2
+    assert "n=9 above the configured bound 8 (raise with --max-n)" in capsys.readouterr().err
+
+
+def test_max_n_can_be_raised_for_json_inputs(capsys):
+    code, out = run(capsys, "--max-n", "9", "complex", "--ds", N9)
+    assert code == 0 and len(json.loads(out)["summands"]) == 1
+    code, out = run(capsys, "--max-n", "9", "hom", "--src", N9, "--dst", N9)
+    assert code == 0 and json.loads(out)["dim"] == 1
 
 
 BAD_GAMMA = {"n": 1, "e": 0, "components": [{"v": "*", "labels": [0, 1, 5]}]}
@@ -257,6 +302,7 @@ _ARGS = {
     "chainmap": _ds_and_move,
     "triangle": _ds_and_move,
     "homdim": st.tuples(_cx_like, _cx_like).map(lambda p: {"--src": p[0], "--dst": p[1]}),
+    "export-dot triangle": _ds_and_move,
 }
 
 
@@ -264,7 +310,7 @@ _ARGS = {
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_fuzzed_json_exits_cleanly(command, data):
-    argv = [command]
+    argv = command.split()
     for flag, value in data.draw(_ARGS[command]).items():
         argv += [flag, json.dumps(value)]
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):

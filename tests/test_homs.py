@@ -2,12 +2,20 @@ import itertools
 
 import pytest
 
-from diskcontact import bypass, kom
-from diskcontact.divset import basic_of, basic_sets, enumerate_objects
+from diskcontact import bypass, homs, kom, suites
+from diskcontact.divset import (
+    STAR,
+    DividingSet,
+    basic_of,
+    basic_sets,
+    ds_to_json,
+    enumerate_objects,
+)
 from diskcontact.errors import ComponentMismatch, NotBasic
 from diskcontact.functor import F_of_morphism
 from diskcontact.homs import (
     bypass_chain,
+    component,
     composition_nonzero,
     composition_nonzero_right,
     hom_nonzero,
@@ -159,3 +167,85 @@ def test_hom_functors_exact_on_triangles(n, e):
                 assert int(composition_nonzero(b, c, x)) == int(
                     hom_nonzero(b, x)
                 ) - int(composition_nonzero(a, b, x))
+
+
+# --- the component index ----------------------------------------------------
+
+
+@pytest.mark.parametrize("n,e", pairs_up_to(6))
+def test_component_rows_match_curve_counts(n, e):
+    comp = component(n, e)
+    objs = enumerate_objects(n, e)
+    for g in objs:
+        i = comp.id(g)
+        out, into = comp.hom_out(i), comp.hom_in(i)
+        for g2 in objs:
+            j = comp.id(g2)
+            assert bool(out >> j & 1) == (rounded_components(g, g2) == 1)
+            assert bool(into >> j & 1) == (rounded_components(g2, g) == 1)
+
+
+@pytest.mark.parametrize("n,e", pairs_up_to(4))
+def test_composition_masks_match_searches(n, e):
+    comp = component(n, e)
+    objs = enumerate_objects(n, e)
+    for g, g2, g3 in itertools.product(objs, repeat=3):
+        i, j, k = comp.id(g), comp.id(g2), comp.id(g3)
+        left = composition_nonzero(g, g2, g3)
+        assert bool(comp.middles(i, k) >> j & 1) == left
+        assert bool(comp.sources(j, k) >> i & 1) == left
+        assert bool(comp.targets(i, j) >> k & 1) == left
+        assert bool(comp.middles_right(i, k) >> j & 1) == composition_nonzero_right(g, g2, g3)
+
+
+@pytest.mark.parametrize("n,e", pairs_up_to(4))
+def test_homs_suite_passes(n, e):
+    (report,) = suites.run_suite("homs", n, e)
+    assert report.ok, report.to_json()
+
+
+def test_point_queries_do_not_enumerate_the_component(monkeypatch):
+    def refuse(n, e):
+        raise AssertionError("point query enumerated the component")
+
+    monkeypatch.setattr(homs, "enumerate_objects", refuse)
+    homs.component.cache_clear()
+    try:
+        g = basic_of(8, 4, {0, 1, 2, 3, 4})
+        g2 = DividingSet.make(
+            8, 4, {STAR: (0, 1, 7), (1,): (2, 6), (1, 1): (3, 5), (1, 1, 1): (4,), (2,): (8,)}
+        )
+        assert hom_nonzero(g, g2)
+        chain = bypass_chain(g, g2)
+        assert len(chain) == 3 and F_of_morphism(g, g2).entries
+        middle = bypass.attach(g, chain[0])
+        assert composition_nonzero(g, middle, g2)
+        assert composition_nonzero_right(g, middle, g2)
+    finally:
+        homs.component.cache_clear()
+
+
+def test_stack_order_check_sees_a_dropped_stage_filter(monkeypatch):
+    # Without the stage filter on the into=False side, the two composition
+    # searches disagree on some triples at (5,2).  The masked check must fail
+    # and report the triple a loop over all triples meets first.
+    stage_filter = homs.Component._stage_filter
+    monkeypatch.setattr(
+        homs.Component,
+        "_stage_filter",
+        lambda self, anchor, into: stage_filter(self, anchor, into) if into else (lambda x: True),
+    )
+    homs.component.cache_clear()
+    try:
+        (report,) = suites.run_suite("homs", 5, 2)
+        objs = enumerate_objects(5, 2)
+        first = next(
+            t
+            for t in itertools.product(objs, repeat=3)
+            if composition_nonzero(*t) != composition_nonzero_right(*t)
+        )
+    finally:
+        homs.component.cache_clear()
+    check = next(c for c in report.checks if c.check_id == "homs.stack_order_insensitive")
+    assert not check.ok
+    assert check.counterexample == dict(zip(("g", "g2", "g3"), map(ds_to_json, first)))
