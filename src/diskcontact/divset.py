@@ -134,6 +134,14 @@ class DividingSet:
     def is_basic(self) -> bool:
         return not self.vnb
 
+    def __hash__(self) -> int:
+        # computed once per instance: dividing sets key most tables here
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.n, self.e, self.components))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def __repr__(self) -> str:
         body = ", ".join(
             ("*" if v == STAR else str(list(v))) + ":" + str(set(ls))
@@ -375,7 +383,16 @@ def enumerate_objects(n: int, e: int) -> tuple[DividingSet, ...]:
 
 
 def basic_of(n: int, e: int, based: Iterable[int]) -> DividingSet:
-    s = tuple(sorted(based))
+    """The basic dividing set with this based label set.
+
+    Equal arguments give the same instance, so tables keyed by basic sets
+    find their keys by identity.
+    """
+    return _basic(n, e, tuple(sorted(based)))
+
+
+@lru_cache(maxsize=None)
+def _basic(n: int, e: int, s: tuple[int, ...]) -> DividingSet:
     if len(s) != e + 1 or not s or s[0] != 0 or s[-1] > n:
         raise BadBase(f"based set must contain 0 and have e+1={e + 1} labels in 0..n")
     comps: dict[NestVector, tuple[int, ...]] = {STAR: s}

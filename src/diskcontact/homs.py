@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional
 
 from .bypass import BypassMove, attach, enumerate_bypasses
-from .divset import DividingSet, Matching, enumerate_objects, to_matching
+from .divset import DividingSet, Matching, basic_sets, enumerate_objects, to_matching
 from .errors import ComponentMismatch, NotBasic
 
 
@@ -144,7 +144,8 @@ class Component:
     object with id i.  Bypass successors, hom rows, reachability masks and
     the composition masks built from them are filled on demand and kept;
     a hom row or a composition mask covers the whole component, so asking
-    for one enumerates it.
+    for one enumerates it.  Tight rows, which `kom` reads for the homs
+    between projectives, cover only the basic objects.
     """
 
     def __init__(self, n: int, e: int):
@@ -152,10 +153,12 @@ class Component:
         self.objects: list[DividingSet] = []
         self.matchings: list[Matching] = []
         self._ids: dict[DividingSet, int] = {}
+        self._by_address: dict[int, int] = {}
         self._order: Optional[list[int]] = None
         self._successors: dict[int, tuple[tuple[int, BypassMove], ...]] = {}
         self._out: dict[int, int] = {}  # i -> mask of j with Hom(i, j) != 0
         self._in: dict[int, int] = {}  # j -> mask of i with Hom(i, j) != 0
+        self._tight: dict[int, int] = {}  # basic i -> mask of basic j, tight_basic(i, j)
         self._reach: dict[tuple[int, int, bool], int] = {}
         # transposed reachability, keyed by the fixed anchor or start
         self._into_by_anchor: dict[int, dict[int, int]] = {}
@@ -163,11 +166,16 @@ class Component:
         self._from_by_anchor: dict[int, dict[int, int]] = {}
 
     def id(self, g: DividingSet) -> int:
-        i = self._ids.get(g)
+        # Only interned instances are recorded by address; self.objects
+        # keeps them alive, so an address hit is the object itself.
+        # basic_of returns one instance per basic set, so summands hit here.
+        i = self._by_address.get(id(g))
         if i is None:
-            i = self._ids[g] = len(self.objects)
-            self.objects.append(g)
-            self.matchings.append(to_matching(g))
+            i = self._ids.get(g)
+            if i is None:
+                i = self._ids[g] = self._by_address[id(g)] = len(self.objects)
+                self.objects.append(g)
+                self.matchings.append(to_matching(g))
         return i
 
     def ids(self) -> list[int]:
@@ -201,6 +209,20 @@ class Component:
             m, ms = self.matchings[j], self.matchings
             col = self._in[j] = _mask(i for i in self.ids() if _curves(ms[i], m) == 1)
         return col
+
+    def tight_row(self, i: int) -> int:
+        """Mask of the basic j with tight_basic(i, j), for a basic object i.
+
+        Filled from basic_sets(n, e), so it interns the basic objects and
+        never enumerates the component.
+        """
+        row = self._tight.get(i)
+        if row is None:
+            g = self.objects[i]
+            row = self._tight[i] = _mask(
+                self.id(b) for b in basic_sets(self.n, self.e) if tight_basic(g, b)
+            )
+        return row
 
     def _stage_filter(self, anchor: int, into: bool) -> Callable[[int], bool]:
         """Predicate on ids: Hom(X, anchor) != 0 (into) or Hom(anchor, X) != 0.

@@ -21,8 +21,8 @@ from typing import Iterable, Optional
 
 from . import gf2
 from .divset import DividingSet, ds_from_json, ds_to_json
-from .errors import NotBasic, ShapeMismatch
-from .homs import tight_basic
+from .errors import ComponentMismatch, NotBasic, ShapeMismatch
+from .homs import Component, component, tight_basic
 
 Entries = frozenset  # of (i, j) index pairs
 
@@ -71,7 +71,21 @@ def projective(gamma: DividingSet, h: int = 0) -> Complex:
 
 
 def _entry_ok(a: ProjSummand, b: ProjSummand, k: int) -> bool:
+    """Greedy check of one entry; the slow reference for the tight rows."""
     return b.h == a.h + k and tight_basic(a.gamma, b.gamma)
+
+
+def _component_of(*complexes: Complex) -> Optional[Component]:
+    """The component index of every summand, or None when there are none."""
+    n = e = None
+    for c in complexes:
+        for s in c.summands:
+            g = s.gamma
+            if n is None:
+                n, e = g.n, g.e
+            elif g.n != n or g.e != e:
+                raise ComponentMismatch(f"({n},{e}) vs ({g.n},{g.e})")
+    return None if n is None else component(n, e)
 
 
 def _compose_entries(
@@ -88,10 +102,15 @@ def _compose_entries(
     for i, j in left:
         for k in by_mid.get(j, ()):
             count[(i, k)] = count.get((i, k), 0) ^ 1
+    live = [p for p, c in count.items() if c]
+    if not live:
+        return frozenset()
+    comp = _component_of(src, dst)
+    sa, sb = src.summands, dst.summands
     return frozenset(
         (i, k)
-        for (i, k), c in count.items()
-        if c and tight_basic(src.summands[i].gamma, dst.summands[k].gamma)
+        for i, k in live
+        if comp.tight_row(comp.id(sa[i].gamma)) >> comp.id(sb[k].gamma) & 1
     )
 
 
@@ -167,13 +186,62 @@ def euler_vector(c: Complex) -> dict[DividingSet, int]:
 
 
 def map_basis(src: Complex, dst: Complex, k: int) -> list[tuple[int, int]]:
-    """Summand pairs supporting a nonzero degree-k module map."""
-    return [
-        (i, j)
-        for i, a in enumerate(src.summands)
-        for j, b in enumerate(dst.summands)
-        if _entry_ok(a, b, k)
-    ]
+    """Summand pairs supporting a nonzero degree-k module map, in (i, j) order.
+
+    Only the dst summands at degree h + k are candidates for a src summand
+    at degree h; tightness is read by id from the component's tight rows.
+    """
+    by_h: dict[int, list[int]] = {}
+    for j, b in enumerate(dst.summands):
+        by_h.setdefault(b.h, []).append(j)
+    todo = [(i, a, js) for i, a in enumerate(src.summands) if (js := by_h.get(a.h + k))]
+    if not todo:
+        return []
+    comp = _component_of(src, dst)
+    ids = [comp.id(b.gamma) for b in dst.summands]
+    out: list[tuple[int, int]] = []
+    for i, a, js in todo:
+        row = comp.tight_row(comp.id(a.gamma))
+        out.extend((i, j) for j in js if row >> ids[j] & 1)
+    return out
+
+
+def _arrows(d: Iterable[tuple[int, int]], reverse: bool) -> dict[int, list[int]]:
+    """Adjacency lists of a differential: i -> targets (or sources when reverse)."""
+    out: dict[int, list[int]] = {}
+    for i, j in d:
+        if reverse:
+            i, j = j, i
+        out.setdefault(i, []).append(j)
+    return out
+
+
+def _columns(
+    src_in: dict[int, list[int]],
+    dst_out: dict[int, list[int]],
+    basis_k: list,
+    pos: dict[tuple[int, int], int],
+) -> list[int]:
+    """Columns of D on single-entry maps, as masks over the degree-(k+1)
+    basis whose pairs pos indexes.
+
+    D(i, j) has the entries (i, j') for j -> j' in d_dst and (i', j) for
+    i' -> i in d_src.  The degree-(k+1) basis holds exactly the tight
+    pairs of that degree, so an entry survives iff pos has it.
+    """
+    cols = []
+    for i, j in basis_k:
+        v = 0
+        for j2 in dst_out.get(j, ()):
+            t = pos.get((i, j2))
+            if t is not None:
+                v ^= 1 << t
+        for i2 in src_in.get(i, ()):
+            t = pos.get((i2, j))
+            if t is not None:
+                v ^= 1 << t
+        cols.append(v)
+    return cols
 
 
 def _differential_on_maps(
@@ -181,39 +249,90 @@ def _differential_on_maps(
 ) -> list[int]:
     """Columns of D(f) = d_dst . f + f . d_src on single-entry maps."""
     pos = {p: t for t, p in enumerate(basis_k1)}
-    cols = []
-    for (i, j) in basis_k:
-        img = _compose_entries([(i, j)], dst.d, src, dst) ^ _compose_entries(
-            src.d, [(i, j)], src, dst
-        )
-        v = 0
-        for p in img:
-            if p in pos:
-                v |= 1 << pos[p]
-        cols.append(v)
-    return cols
+    return _columns(_arrows(src.d, True), _arrows(dst.d, False), basis_k, pos)
+
+
+class HomComplex:
+    """The graded complex of module maps src -> dst with D(f) = d_dst.f + f.d_src.
+
+    Built for one call and dropped with it.  `degrees` are the degrees
+    some tight summand pair is apart by, found with one pass over the
+    component's tight rows; every other degree has an empty map basis and
+    is not scanned.  Each degree's map basis (one map_basis call),
+    differential columns and rank are computed at most once.  Raises
+    ComponentMismatch unless every summand of src and dst lies in one
+    component.
+    """
+
+    def __init__(self, src: Complex, dst: Complex):
+        comp = _component_of(src, dst)
+        self.src, self.dst = src, dst
+        support = set()
+        if src.summands and dst.summands:
+            ids = [(comp.id(b.gamma), b.h) for b in dst.summands]
+            for a in src.summands:
+                row = comp.tight_row(comp.id(a.gamma))
+                support.update(h - a.h for j, h in ids if row >> j & 1)
+        self.degrees = sorted(support)
+        self._support = support
+        self._src_in = _arrows(src.d, True)
+        self._dst_out = _arrows(dst.d, False)
+        self._basis: dict[int, list[tuple[int, int]]] = {}
+        self._pos: dict[int, dict[tuple[int, int], int]] = {}
+        self._cols: dict[int, list[int]] = {}
+        self._rank: dict[int, int] = {}
+
+    def basis(self, k: int) -> list[tuple[int, int]]:
+        b = self._basis.get(k)
+        if b is None:
+            b = self._basis[k] = map_basis(self.src, self.dst, k) if k in self._support else []
+        return b
+
+    def position(self, k: int) -> dict[tuple[int, int], int]:
+        """Index of each pair in the degree-k basis."""
+        pos = self._pos.get(k)
+        if pos is None:
+            pos = self._pos[k] = {p: t for t, p in enumerate(self.basis(k))}
+        return pos
+
+    def columns(self, k: int) -> list[int]:
+        """D on the degree-k basis, as masks over the degree-(k+1) basis."""
+        cols = self._cols.get(k)
+        if cols is None:
+            cols = self._cols[k] = _columns(
+                self._src_in, self._dst_out, self.basis(k), self.position(k + 1)
+            )
+        return cols
+
+    def rank(self, k: int) -> int:
+        """Rank of D from degree k to degree k + 1."""
+        r = self._rank.get(k)
+        if r is None:
+            empty = not (self.basis(k) and self.basis(k + 1))
+            r = self._rank[k] = 0 if empty else gf2.rank(self.columns(k))
+        return r
+
+    def dim(self, k: int) -> int:
+        """Dimension of degree-k chain maps modulo homotopy."""
+        return len(self.basis(k)) - self.rank(k) - self.rank(k - 1)
 
 
 def hom_dim(src: Complex, dst: Complex, k: int) -> int:
     """Dimension over GF(2) of degree-k chain maps modulo homotopy."""
-    b_prev = map_basis(src, dst, k - 1)
-    b_k = map_basis(src, dst, k)
-    b_next = map_basis(src, dst, k + 1)
-    d_k = _differential_on_maps(src, dst, k, b_k, b_next)
-    d_prev = _differential_on_maps(src, dst, k - 1, b_prev, b_k)
-    return (len(b_k) - gf2.rank(d_k)) - gf2.rank(d_prev)
+    return HomComplex(src, dst).dim(k)
 
 
 def hom_by_degree(src: Complex, dst: Complex) -> dict[int, int]:
     """The nonzero hom_dim(src, dst, k), keyed by ascending degree k.
 
-    A degree no summand pair is apart by has an empty map basis, so only
-    those degrees are computed; the count is bounded by the input size
-    even when the summand degrees are far apart.
+    A degree no tight summand pair is apart by has an empty map basis, so
+    only those degrees are computed; the count is bounded by the input
+    size even when the summand degrees are far apart.
     """
+    hc = HomComplex(src, dst)
     out = {}
-    for k in sorted({b.h - a.h for a in src.summands for b in dst.summands}):
-        dim = hom_dim(src, dst, k)
+    for k in hc.degrees:
+        dim = hc.dim(k)
         if dim:
             out[k] = dim
     return out
@@ -227,19 +346,18 @@ def find_homotopy(f: ChainMap, g: ChainMap) -> Optional[Homotopy]:
     """h with f + g = d.h + h.d, or None ("Absent") if none exists."""
     if (f.src, f.dst, f.k) != (g.src, g.dst, g.k):
         raise ShapeMismatch("homotopy comparison needs equal shapes and degrees")
-    target_entries = f.entries ^ g.entries
-    b_h = map_basis(f.src, f.dst, f.k - 1)
-    b_k = map_basis(f.src, f.dst, f.k)
-    pos = {p: t for t, p in enumerate(b_k)}
+    hc = HomComplex(f.src, f.dst)
+    pos = hc.position(f.k)
     target = 0
-    for p in target_entries:
-        if p not in pos:
+    for p in f.entries ^ g.entries:
+        t = pos.get(p)
+        if t is None:
             return None  # difference is not even a valid map-space vector
-        target |= 1 << pos[p]
-    cols = _differential_on_maps(f.src, f.dst, f.k - 1, b_h, b_k)
-    sol = gf2.solve(cols, target)
+        target |= 1 << t
+    sol = gf2.solve(hc.columns(f.k - 1), target)
     if sol is None:
         return None
+    b_h = hc.basis(f.k - 1)
     return Homotopy(f.src, f.dst, f.k - 1, frozenset(b_h[i] for i in sol))
 
 
@@ -261,12 +379,11 @@ def _hom_class_reps(src: Complex, dst: Complex) -> list[ChainMap]:
     cohomology is extracted by reducing cocycles against the coboundary
     span; all 2^dim class representatives are enumerated.
     """
-    b0 = map_basis(src, dst, 0)
-    b1 = map_basis(src, dst, 1)
-    bm = map_basis(src, dst, -1)
-    cocycles = gf2.nullspace(_differential_on_maps(src, dst, 0, b0, b1))
+    hc = HomComplex(src, dst)
+    b0 = hc.basis(0)
+    cocycles = gf2.nullspace(hc.columns(0))
     span = gf2.Eliminator()
-    for c in _differential_on_maps(src, dst, -1, bm, b0):
+    for c in hc.columns(-1):
         span.add(c)
     chosen: list[int] = []
     for v in cocycles:
@@ -308,17 +425,13 @@ def simplify(c: Complex) -> Complex:
     Repeatedly cancels a pair connected by an identity map, correcting the
     remaining differential by the zig-zag through the removed pair.
     """
+    comp = _component_of(c)
     summands = list(c.summands)
+    ids = [comp.id(s.gamma) for s in summands] if comp else []
+    rows = [comp.tight_row(x) for x in ids] if comp else []
     d = set(c.d)
     while True:
-        pivot = next(
-            (
-                (i, j)
-                for (i, j) in sorted(d)
-                if summands[i].gamma == summands[j].gamma
-            ),
-            None,
-        )
+        pivot = next(((i, j) for (i, j) in sorted(d) if ids[i] == ids[j]), None)
         if pivot is None:
             break
         i, j = pivot
@@ -326,7 +439,7 @@ def simplify(c: Complex) -> Complex:
         from_i = [(a, b) for (a, b) in d if a == i and b != j]
         for a, _ in into_j:
             for _, b in from_i:
-                if tight_basic(summands[a].gamma, summands[b].gamma):
+                if rows[a] >> ids[b] & 1:
                     if (a, b) in d:
                         d.remove((a, b))
                     else:
@@ -335,6 +448,8 @@ def simplify(c: Complex) -> Complex:
         keep = [t for t in range(len(summands)) if t not in (i, j)]
         renum = {t: s for s, t in enumerate(keep)}
         summands = [summands[t] for t in keep]
+        ids = [ids[t] for t in keep]
+        rows = [rows[t] for t in keep]
         d = {(renum[a], renum[b]) for (a, b) in d}
     return Complex(tuple(summands), frozenset(d))
 
@@ -432,15 +547,14 @@ def _repair_differential(
                 for a, b in sq
                 if _block_of(a, offsets) == bi and _block_of(b, offsets) == bj
             ]
-            basis_h = map_basis(res_i, res_j, 1 - hshift)
             # D(h) must cancel the local failure: solve over single entries
-            pos_basis = map_basis(res_i, res_j, 2 - hshift)
-            pos = {p: t for t, p in enumerate(pos_basis)}
+            hc = HomComplex(res_i, res_j)
+            basis_h = hc.basis(1 - hshift)
+            pos = hc.position(2 - hshift)
             target = 0
             for p in local:
                 target |= 1 << pos[p]
-            cols = _differential_on_maps(res_i, res_j, 1 - hshift, basis_h, pos_basis)
-            sol = gf2.solve(cols, target)
+            sol = gf2.solve(hc.columns(1 - hshift), target)
             if sol is None:
                 raise ShapeMismatch("no homotopy correction for rotation square")
             for t in sol:

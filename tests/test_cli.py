@@ -244,6 +244,38 @@ def test_homdim_far_apart_degrees(capsys):
     assert json.loads(out) == {"by_degree": {"0": 2, str(-(10**18)): 1, str(10**18): 1}, "total": 4}
 
 
+P_21 = ds_to_json(basic_of(2, 1, {0, 1}))
+P_31 = ds_to_json(basic_of(3, 1, {0, 1}))
+EMPTY_CX = json.dumps({"summands": [], "d": []})
+
+
+def _cx_at(*pairs):
+    return json.dumps({"summands": [{"gamma": g, "h": h} for g, h in pairs], "d": []})
+
+
+@pytest.mark.parametrize(
+    "src,dst",
+    [
+        (_cx(P_21), _cx(P_31)),
+        (_cx_at((P_21, 0)), _cx_at((P_31, 4))),
+        (_cx(P_21, P_31), _cx(P_21)),
+        (_cx(P_21), _cx_at((P_21, 0), (P_31, 2))),
+    ],
+    ids=["two-components", "two-components-apart", "mixed-src", "mixed-dst"],
+)
+def test_homdim_components_must_agree(capsys, src, dst):
+    assert main(["homdim", "--src", src, "--dst", dst]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "(2,1)" in captured.err and "(3,1)" in captured.err
+
+
+def test_homdim_empty_complex_is_zero(capsys):
+    for src, dst in ((EMPTY_CX, _cx(P_21)), (_cx(P_21), EMPTY_CX), (EMPTY_CX, EMPTY_CX)):
+        code, out = run(capsys, "homdim", "--src", src, "--dst", dst)
+        assert code == 0 and json.loads(out) == {"by_degree": {}, "total": 0}
+
+
 def test_removed_options_are_rejected(capsys):
     assert main(["--jobs", "2", "enumerate", "--n", "1", "--e", "0"]) == 2
     assert main(["--seed", "1", "enumerate", "--n", "1", "--e", "0"]) == 2

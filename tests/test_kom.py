@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-from diskcontact import bypass, functor, kom
-from diskcontact.divset import basic_of, basic_sets, enumerate_objects
-from diskcontact.errors import NotBasic, ShapeMismatch
+from diskcontact import bypass, functor, gf2, homs, kom
+from diskcontact.divset import STAR, DividingSet, basic_of, basic_sets, enumerate_objects
+from diskcontact.errors import ComponentMismatch, NotBasic, ShapeMismatch
 from diskcontact.homs import tight_basic
 from diskcontact.kom import (
     ChainMap,
@@ -18,6 +18,7 @@ from diskcontact.kom import (
     equivalent,
     euler_vector,
     find_homotopy,
+    hom_by_degree,
     hom_dim,
     hom_total,
     identity_map,
@@ -223,3 +224,187 @@ def test_map_space_differential_squares_to_zero(ex_g3, ex_g4):
                     img ^= d1[t]
             assert img == 0
     del gf2, pos
+
+
+# --- the graded Hom-complex against the map_basis-triple reference ------------
+#
+# The reference is the earlier hom_dim: three quadratic scans of summand
+# pairs per degree with the greedy tight_basic, and one composition per
+# basis entry for the differential.
+
+
+def _ref_basis(src, dst, k):
+    return [
+        (i, j)
+        for i, a in enumerate(src.summands)
+        for j, b in enumerate(dst.summands)
+        if b.h == a.h + k and tight_basic(a.gamma, b.gamma)
+    ]
+
+
+def _ref_compose(left, right, src, dst):
+    count = {}
+    for i, j in left:
+        for j2, k in right:
+            if j2 == j:
+                count[(i, k)] = count.get((i, k), 0) ^ 1
+    return {
+        (i, k)
+        for (i, k), c in count.items()
+        if c and tight_basic(src.summands[i].gamma, dst.summands[k].gamma)
+    }
+
+
+def _ref_columns(src, dst, basis_k, basis_k1):
+    pos = {p: t for t, p in enumerate(basis_k1)}
+    cols = []
+    for i, j in basis_k:
+        img = _ref_compose([(i, j)], dst.d, src, dst) ^ _ref_compose(src.d, [(i, j)], src, dst)
+        cols.append(sum(1 << pos[p] for p in img if p in pos))
+    return cols
+
+
+def _ref_hom_dim(src, dst, k):
+    b_prev, b_k, b_next = (_ref_basis(src, dst, k + t) for t in (-1, 0, 1))
+    d_k = _ref_columns(src, dst, b_k, b_next)
+    d_prev = _ref_columns(src, dst, b_prev, b_k)
+    return len(b_k) - gf2.rank(d_k) - gf2.rank(d_prev)
+
+
+def _ref_is_nullhomotopic(f):
+    b_h, b_k = _ref_basis(f.src, f.dst, f.k - 1), _ref_basis(f.src, f.dst, f.k)
+    pos = {p: t for t, p in enumerate(b_k)}
+    if any(p not in pos for p in f.entries):
+        return False
+    target = sum(1 << pos[p] for p in f.entries)
+    return gf2.solve(_ref_columns(f.src, f.dst, b_h, b_k), target) is not None
+
+
+def _ref_class_count(src, dst):
+    b0, b1, bm = (_ref_basis(src, dst, k) for k in (0, 1, -1))
+    cocycles = gf2.nullspace(_ref_columns(src, dst, b0, b1))
+    span = gf2.Eliminator()
+    for c in _ref_columns(src, dst, bm, b0):
+        span.add(c)
+    dim = 0
+    for v in cocycles:
+        if span.reduce(v) is None:
+            dim += 1
+            span.add(v)
+    if dim > 8:
+        raise ShapeMismatch("degree-0 hom space too large to enumerate")
+    return 2**dim
+
+
+@pytest.mark.parametrize("n,e", pairs_up_to(5))
+def test_hom_complex_matches_map_basis_reference(n, e):
+    objs = enumerate_objects(n, e)
+    for g, g2 in itertools.product(objs, repeat=2):
+        a, b = functor.build_F(g), functor.build_F(g2)
+        apart = {y.h - x.h for x in a.summands for y in b.summands}
+        ref = {k: _ref_hom_dim(a, b, k) for k in range(min(apart) - 1, max(apart) + 2)}
+        assert hom_by_degree(a, b) == {k: d for k, d in sorted(ref.items()) if d}
+        assert {k: hom_dim(a, b, k) for k in ref} == ref
+        f = functor.F_of_morphism(g, g2)
+        assert is_nullhomotopic(f) == _ref_is_nullhomotopic(f)
+        try:
+            count = _ref_class_count(a, b)
+        except ShapeMismatch:
+            with pytest.raises(ShapeMismatch):
+                kom._hom_class_reps(a, b)
+        else:
+            assert len(kom._hom_class_reps(a, b)) == count
+
+
+def test_map_basis_and_columns_match_reference(ex_g3, ex_g4):
+    a, b = functor.build_F(ex_g3), functor.build_F(ex_g4)
+    for src, dst in ((a, b), (b, a), (a, a)):
+        for k in range(-4, 4):
+            b0, b1 = kom.map_basis(src, dst, k), kom.map_basis(src, dst, k + 1)
+            assert b0 == _ref_basis(src, dst, k)
+            assert kom._differential_on_maps(src, dst, k, b0, b1) == _ref_columns(src, dst, b0, b1)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_tight_rows_equal_greedy_criterion(n, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("tight rows enumerated the component")
+
+    monkeypatch.setattr(homs, "enumerate_objects", refuse)
+    homs.component.cache_clear()
+    try:
+        for e in range(n + 1):
+            comp = homs.component(n, e)
+            basics = basic_sets(n, e)
+            ids = {comp.id(b): b for b in basics}
+            for g in basics:
+                row = comp.tight_row(comp.id(g))
+                assert row >> len(comp.objects) == 0
+                assert {i for i in ids if row >> i & 1} == {
+                    comp.id(b) for b in basics if tight_basic(g, b)
+                }
+    finally:
+        homs.component.cache_clear()
+
+
+def test_hom_total_point_query_at_8_4_enumerates_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("point query enumerated the component")
+
+    monkeypatch.setattr(homs, "enumerate_objects", refuse)
+    homs.component.cache_clear()
+    try:
+        g = basic_of(8, 4, {0, 1, 2, 3, 4})
+        g2 = DividingSet.make(
+            8, 4, {STAR: (0, 1, 7), (1,): (2, 6), (1, 1): (3, 5), (1, 1, 1): (4,), (2,): (8,)}
+        )
+        a, b = functor.build_F(g), functor.build_F(g2)
+        assert hom_total(a, b) == 1 == int(homs.hom_nonzero(g, g2))
+        assert hom_total(b, a) == int(homs.hom_nonzero(g2, g))
+        assert not is_nullhomotopic(functor.F_of_morphism(g, g2))
+    finally:
+        homs.component.cache_clear()
+
+
+# --- complexes of two components ----------------------------------------------
+
+P21 = basic_of(2, 1, {0, 1})
+P31 = basic_of(3, 1, {0, 1})
+EMPTY = Complex((), frozenset())
+
+
+def test_hom_total_rejects_two_components():
+    with pytest.raises(ComponentMismatch):
+        hom_total(projective(P21), projective(P31))
+    with pytest.raises(ComponentMismatch):
+        hom_total(projective(P21), projective(P31, 7))
+
+
+def test_hom_total_rejects_a_complex_mixing_components():
+    mixed = Complex((ProjSummand(P21, 0), ProjSummand(P31, 3)), frozenset())
+    with pytest.raises(ComponentMismatch):
+        hom_total(mixed, projective(P21))
+    with pytest.raises(ComponentMismatch):
+        hom_total(projective(P21), mixed)
+    with pytest.raises(ComponentMismatch):
+        hom_total(mixed, mixed)
+
+
+def test_find_homotopy_rejects_components():
+    # degree-0 maps and their homotopies never pair these two summands,
+    # so only a check of the components can reject them
+    a, b = projective(P21), projective(P31, 5)
+    with pytest.raises(ComponentMismatch):
+        find_homotopy(zero_map(a, b), zero_map(a, b))
+    mixed = Complex((ProjSummand(P21, 0), ProjSummand(P31, 0)), frozenset())
+    with pytest.raises(ComponentMismatch):
+        find_homotopy(zero_map(mixed, a), zero_map(mixed, a))
+    with pytest.raises(ComponentMismatch):
+        is_nullhomotopic(zero_map(a, mixed))
+
+
+def test_empty_complex_has_zero_hom():
+    p = projective(P21)
+    assert hom_total(EMPTY, p) == hom_total(p, EMPTY) == hom_total(EMPTY, EMPTY) == 0
+    assert hom_by_degree(EMPTY, p) == {}
+    assert is_nullhomotopic(zero_map(EMPTY, p))
