@@ -17,7 +17,6 @@ from .divset import (
     basic_sets,
     enumerate_objects,
     from_matching,
-    is_basic,
     nesting_sets,
     to_matching,
     validate,

@@ -19,6 +19,11 @@ the chord count).  The attachment replaces those three chords by
 
 where "left" endpoints are the ones adjacent to the left side of the arc.
 The induced triangle continues with the move (p, q, wall) on the result.
+
+Library entry points here trust their DividingSet arguments: they do not
+run divset.validate, and an invalid dividing set gives an undefined
+answer or error.  The CLI validates at its boundary (cli._load_ds,
+cli._load_complex) before it calls in.
 """
 
 from __future__ import annotations

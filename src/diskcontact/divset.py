@@ -402,10 +402,6 @@ def _basic(n: int, e: int, s: tuple[int, ...]) -> DividingSet:
     return DividingSet.make(n, e, comps)
 
 
-def is_basic(ds: DividingSet) -> bool:
-    return ds.is_basic()
-
-
 @lru_cache(maxsize=None)
 def basic_sets(n: int, e: int) -> tuple[DividingSet, ...]:
     """B_{n,e}, ordered by based label set; has binomial(n, e) elements."""

@@ -12,6 +12,11 @@ across the attaching arc, all other summands map to zero.  The degree of
 the chain map equals the drop in h, is constant across the surviving
 summands, and is given by a closed three-case formula depending on where
 label 0 sits relative to the arc.
+
+Library entry points here trust their DividingSet arguments: they do not
+run divset.validate, and an invalid dividing set gives an undefined
+answer or error.  The CLI validates at its boundary (cli._load_ds,
+cli._load_complex) before it calls in.
 """
 
 from __future__ import annotations

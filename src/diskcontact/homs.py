@@ -15,6 +15,11 @@ The direction of the shift is calibrated: this is the unique convention
 (up to conjugation by a rotation) for which identity homs are nonzero,
 basic pairs agree with the greedy tightness criterion, and homs into the
 rotated object never vanish.
+
+Library entry points here trust their DividingSet arguments: they do not
+run divset.validate, and an invalid dividing set gives an undefined
+answer or error.  The CLI validates at its boundary (cli._load_ds,
+cli._load_complex) before it calls in.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional
 
 from .bypass import BypassMove, attach, enumerate_bypasses
-from .divset import DividingSet, Matching, basic_sets, enumerate_objects, to_matching
+from .divset import DividingSet, Matching, basic_of, basic_sets, enumerate_objects, to_matching
 from .errors import ComponentMismatch, NotBasic
 
 
@@ -58,7 +63,11 @@ def rounded_components(g: DividingSet, g2: DividingSet) -> int:
 
 
 def hom_nonzero(g: DividingSet, g2: DividingSet) -> bool:
-    return rounded_components(g, g2) == 1
+    """Hom(g, g2) != 0, read from the component index: the filled hom_in
+    row of g2, or else the curve count of the interned matchings."""
+    _check_same_component(g, g2)
+    comp = component(g.n, g.e)
+    return bool(comp._stage_filter(comp.id(g2), into=True)(comp.id(g)))
 
 
 @lru_cache(maxsize=None)
@@ -167,12 +176,15 @@ class Component:
 
     def id(self, g: DividingSet) -> int:
         # Only interned instances are recorded by address; self.objects
-        # keeps them alive, so an address hit is the object itself.
-        # basic_of returns one instance per basic set, so summands hit here.
+        # keeps them alive, so an address hit is the object itself.  A
+        # basic object is interned as the one instance basic_of returns,
+        # whichever equal instance is asked first, so summands hit here.
         i = self._by_address.get(id(g))
         if i is None:
             i = self._ids.get(g)
             if i is None:
+                if g.is_basic():
+                    g = basic_of(g.n, g.e, g.star)
                 i = self._ids[g] = self._by_address[id(g)] = len(self.objects)
                 self.objects.append(g)
                 self.matchings.append(to_matching(g))

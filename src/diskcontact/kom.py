@@ -10,6 +10,12 @@ mod 2, discarding pairs whose outer hom vanishes.
 The shift C[k] lowers all summand degrees by k (so C[k]^i = C^{i+k});
 nothing is negated over GF(2).  A chain map of degree k sends degree h
 to degree h+k.
+
+Library entry points here trust their DividingSet arguments: they do not
+run divset.validate (ProjSummand checks only that a summand is basic),
+and an invalid dividing set gives an undefined answer or error.  The
+CLI validates at its boundary (cli._load_ds, cli._load_complex) before
+it calls in.
 """
 
 from __future__ import annotations
@@ -185,24 +191,21 @@ def euler_vector(c: Complex) -> dict[DividingSet, int]:
 # hom spaces in the homotopy category
 
 
-def map_basis(src: Complex, dst: Complex, k: int) -> list[tuple[int, int]]:
-    """Summand pairs supporting a nonzero degree-k module map, in (i, j) order.
+def map_basis(src: Complex, dst: Complex) -> list[tuple[int, int, int]]:
+    """Every tight summand pair as (k, i, j), k = h_j - h_i, in (i, j) order.
 
-    Only the dst summands at degree h + k are candidates for a src summand
-    at degree h; tightness is read by id from the component's tight rows.
+    The one scan of summand pairs: each summand id is looked up once and
+    one tight row is read per src summand.  Raises ComponentMismatch
+    unless every summand of src and dst lies in one component.
     """
-    by_h: dict[int, list[int]] = {}
-    for j, b in enumerate(dst.summands):
-        by_h.setdefault(b.h, []).append(j)
-    todo = [(i, a, js) for i, a in enumerate(src.summands) if (js := by_h.get(a.h + k))]
-    if not todo:
-        return []
     comp = _component_of(src, dst)
-    ids = [comp.id(b.gamma) for b in dst.summands]
-    out: list[tuple[int, int]] = []
-    for i, a, js in todo:
+    if comp is None:
+        return []
+    ids = [(comp.id(b.gamma), b.h) for b in dst.summands]
+    out: list[tuple[int, int, int]] = []
+    for i, a in enumerate(src.summands):
         row = comp.tight_row(comp.id(a.gamma))
-        out.extend((i, j) for j in js if row >> ids[j] & 1)
+        out.extend((h - a.h, i, j) for j, (x, h) in enumerate(ids) if row >> x & 1)
     return out
 
 
@@ -244,49 +247,32 @@ def _columns(
     return cols
 
 
-def _differential_on_maps(
-    src: Complex, dst: Complex, k: int, basis_k: list, basis_k1: list
-) -> list[int]:
-    """Columns of D(f) = d_dst . f + f . d_src on single-entry maps."""
-    pos = {p: t for t, p in enumerate(basis_k1)}
-    return _columns(_arrows(src.d, True), _arrows(dst.d, False), basis_k, pos)
-
-
 class HomComplex:
     """The graded complex of module maps src -> dst with D(f) = d_dst.f + f.d_src.
 
-    Built for one call and dropped with it.  `degrees` are the degrees
-    some tight summand pair is apart by, found with one pass over the
-    component's tight rows; every other degree has an empty map basis and
-    is not scanned.  Each degree's map basis (one map_basis call),
-    differential columns and rank are computed at most once.  Raises
-    ComponentMismatch unless every summand of src and dst lies in one
-    component.
+    Built for one call and dropped with it.  One map_basis call gives the
+    map basis of every degree; `degrees` are the degrees some tight
+    summand pair is apart by, and every other degree has an empty basis.
+    Each degree's differential columns and rank are computed at most
+    once.  Raises ComponentMismatch unless every summand of src and dst
+    lies in one component.
     """
 
     def __init__(self, src: Complex, dst: Complex):
-        comp = _component_of(src, dst)
         self.src, self.dst = src, dst
-        support = set()
-        if src.summands and dst.summands:
-            ids = [(comp.id(b.gamma), b.h) for b in dst.summands]
-            for a in src.summands:
-                row = comp.tight_row(comp.id(a.gamma))
-                support.update(h - a.h for j, h in ids if row >> j & 1)
-        self.degrees = sorted(support)
-        self._support = support
+        self._basis: dict[int, list[tuple[int, int]]] = {}
+        for k, i, j in map_basis(src, dst):
+            self._basis.setdefault(k, []).append((i, j))
+        self.degrees = sorted(self._basis)
         self._src_in = _arrows(src.d, True)
         self._dst_out = _arrows(dst.d, False)
-        self._basis: dict[int, list[tuple[int, int]]] = {}
         self._pos: dict[int, dict[tuple[int, int], int]] = {}
         self._cols: dict[int, list[int]] = {}
         self._rank: dict[int, int] = {}
 
     def basis(self, k: int) -> list[tuple[int, int]]:
-        b = self._basis.get(k)
-        if b is None:
-            b = self._basis[k] = map_basis(self.src, self.dst, k) if k in self._support else []
-        return b
+        """Tight summand pairs (i, j) with h_j - h_i = k, in (i, j) order."""
+        return self._basis.get(k, [])
 
     def position(self, k: int) -> dict[tuple[int, int], int]:
         """Index of each pair in the degree-k basis."""

@@ -140,13 +140,9 @@ def brute_force_count(n: int, e: int) -> int:
     return brute_force_counts(n).get(e, 0)
 
 
-def _objects(n: int, e: int):
-    return enumerate_objects(n, e)
-
-
 def suite_divset(n: int, e: int) -> SuiteReport:
     r = _Runner("divset", n, e)
-    objs = _objects(n, e)
+    objs = enumerate_objects(n, e)
 
     def all_valid():
         for g in objs:
@@ -195,7 +191,7 @@ def suite_divset(n: int, e: int) -> SuiteReport:
 
 def suite_homs(n: int, e: int) -> SuiteReport:
     r = _Runner("homs", n, e)
-    objs = _objects(n, e)
+    objs = enumerate_objects(n, e)
 
     def identity_tight():
         for g in objs:
@@ -270,7 +266,7 @@ def _not_exact(first: int, second: int, hom: int) -> int:
 
 def suite_functor(n: int, e: int) -> SuiteReport:
     r = _Runner("functor", n, e)
-    objs = _objects(n, e)
+    objs = enumerate_objects(n, e)
 
     def complexes():
         for g in objs:
@@ -339,7 +335,7 @@ def suite_functor(n: int, e: int) -> SuiteReport:
 
 def suite_triangles(n: int, e: int) -> SuiteReport:
     r = _Runner("triangles", n, e)
-    objs = _objects(n, e)
+    objs = enumerate_objects(n, e)
 
     def closure_and_degrees():
         for g in objs:
@@ -431,7 +427,7 @@ def suite_triangles(n: int, e: int) -> SuiteReport:
 
 def suite_serre(n: int, e: int) -> SuiteReport:
     r = _Runner("serre", n, e)
-    objs = _objects(n, e)
+    objs = enumerate_objects(n, e)
 
     def rotation_order():
         for g in objs:
@@ -488,7 +484,7 @@ def suite_serre(n: int, e: int) -> SuiteReport:
 
 def suite_faithful(n: int, e: int) -> SuiteReport:
     r = _Runner("faithful", n, e)
-    objs = _objects(n, e)
+    objs = enumerate_objects(n, e)
 
     def ends():
         for g in objs:

@@ -185,6 +185,39 @@ def test_component_rows_match_curve_counts(n, e):
             assert bool(into >> j & 1) == (rounded_components(g2, g) == 1)
 
 
+def test_hom_nonzero_reads_a_filled_row(monkeypatch):
+    def refuse(m, m2):
+        raise AssertionError("curves counted for a filled row")
+
+    objs = enumerate_objects(5, 2)
+    homs.component.cache_clear()
+    try:
+        comp = component(5, 2)
+        for j in (0, len(objs) // 2, len(objs) - 1):
+            g2 = objs[j]
+            want = [rounded_components(g, g2) == 1 for g in objs]
+            comp.hom_in(comp.id(g2))
+            rounded_components.cache_clear()  # so a recount cannot hide in the cache
+            with monkeypatch.context() as m:
+                m.setattr(homs, "_curves", refuse)
+                assert [hom_nonzero(g, g2) for g in objs] == want
+    finally:
+        homs.component.cache_clear()
+
+
+def test_component_interns_the_shared_basic_instance():
+    g = basic_of(4, 2, {0, 1, 3})
+    copy = DividingSet.make(4, 2, dict(g.components))
+    assert copy == g and copy is not g
+    homs.component.cache_clear()
+    try:
+        assert hom_nonzero(copy, copy)
+        comp = component(4, 2)
+        assert comp.objects[comp.id(copy)] is g
+    finally:
+        homs.component.cache_clear()
+
+
 @pytest.mark.parametrize("n,e", pairs_up_to(4))
 def test_composition_masks_match_searches(n, e):
     comp = component(n, e)

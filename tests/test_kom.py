@@ -9,6 +9,7 @@ from diskcontact.homs import tight_basic
 from diskcontact.kom import (
     ChainMap,
     Complex,
+    HomComplex,
     ProjSummand,
     add_maps,
     complex_from_json,
@@ -205,25 +206,17 @@ def test_hom_dim_shift_invariant(ex_g3, ex_g4):
 
 
 def test_map_space_differential_squares_to_zero(ex_g3, ex_g4):
-    from diskcontact.kom import _differential_on_maps, map_basis
-    import diskcontact.gf2 as gf2
-
     a, b = functor.build_F(ex_g3), functor.build_F(ex_g4)
+    hc = HomComplex(a, b)
     for k in range(-3, 3):
-        b0 = map_basis(a, b, k)
-        b1 = map_basis(a, b, k + 1)
-        b2 = map_basis(a, b, k + 2)
-        d0 = _differential_on_maps(a, b, k, b0, b1)
-        d1 = _differential_on_maps(a, b, k + 1, b1, b2)
-        pos = {p: t for t, p in enumerate(b2)}
+        d0, d1 = hc.columns(k), hc.columns(k + 1)
         for col in d0:
             # push each D-image through D again: must vanish
             img = 0
-            for t, p in enumerate(b1):
+            for t in range(len(hc.basis(k + 1))):
                 if (col >> t) & 1:
                     img ^= d1[t]
             assert img == 0
-    del gf2, pos
 
 
 # --- the graded Hom-complex against the map_basis-triple reference ------------
@@ -305,6 +298,7 @@ def test_hom_complex_matches_map_basis_reference(n, e):
         ref = {k: _ref_hom_dim(a, b, k) for k in range(min(apart) - 1, max(apart) + 2)}
         assert hom_by_degree(a, b) == {k: d for k, d in sorted(ref.items()) if d}
         assert {k: hom_dim(a, b, k) for k in ref} == ref
+        assert HomComplex(a, b).degrees == [k for k in sorted(apart) if _ref_basis(a, b, k)]
         f = functor.F_of_morphism(g, g2)
         assert is_nullhomotopic(f) == _ref_is_nullhomotopic(f)
         try:
@@ -319,10 +313,32 @@ def test_hom_complex_matches_map_basis_reference(n, e):
 def test_map_basis_and_columns_match_reference(ex_g3, ex_g4):
     a, b = functor.build_F(ex_g3), functor.build_F(ex_g4)
     for src, dst in ((a, b), (b, a), (a, a)):
+        hc = HomComplex(src, dst)
         for k in range(-4, 4):
-            b0, b1 = kom.map_basis(src, dst, k), kom.map_basis(src, dst, k + 1)
+            b0, b1 = hc.basis(k), hc.basis(k + 1)
             assert b0 == _ref_basis(src, dst, k)
-            assert kom._differential_on_maps(src, dst, k, b0, b1) == _ref_columns(src, dst, b0, b1)
+            assert hc.columns(k) == _ref_columns(src, dst, b0, b1)
+
+
+def test_hom_complex_scans_summand_pairs_once(ex_g3, ex_g4, monkeypatch):
+    calls = []
+    original = kom.map_basis
+
+    def counted(src, dst):
+        calls.append((src, dst))
+        return original(src, dst)
+
+    monkeypatch.setattr(kom, "map_basis", counted)
+    a, b = functor.build_F(ex_g3), functor.build_F(ex_g4)
+    hc = HomComplex(a, b)
+    assert hc.degrees
+    for k in range(min(hc.degrees) - 2, max(hc.degrees) + 3):
+        hc.basis(k), hc.columns(k), hc.dim(k)
+    assert calls == [(a, b)]
+    calls.clear()
+    hom_by_degree(a, b)
+    is_nullhomotopic(functor.F_of_morphism(ex_g3, ex_g4))
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("n", range(9))
