@@ -20,6 +20,11 @@ the chord count).  The attachment replaces those three chords by
 where "left" endpoints are the ones adjacent to the left side of the arc.
 The induced triangle continues with the move (p, q, wall) on the result.
 
+Moves, their targets and triangles are kept by the component index
+(homs.Component): each object's moves are enumerated once, and
+`enumerate_bypasses`, `attach`, `triangle` and `serre_rotate` return
+the component's interned moves and objects.
+
 Library entry points here trust their DividingSet arguments: they do not
 run divset.validate, and an invalid dividing set gives an undefined
 answer or error.  The CLI validates at its boundary (cli._load_ds,
@@ -29,7 +34,6 @@ cli._load_complex) before it calls in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .divset import (
     STAR,
@@ -38,13 +42,13 @@ from .divset import (
     NegRegion,
     NestVector,
     chord_key,
-    enumerate_objects,
     far_side_labels,
     from_partition,
     geometry,
     side_containing,
 )
 from .errors import ComponentMismatch, InvalidMove, IsBasic
+from .homs import Component, component
 
 
 @dataclass(frozen=True)
@@ -151,28 +155,9 @@ def _surgery(move: BypassMove) -> tuple[tuple[int, int], tuple[int, int], tuple[
     return wall, p, q
 
 
-@lru_cache(maxsize=None)
-def attach(ds: DividingSet, move: BypassMove) -> DividingSet:
-    """The dividing set after the bypass attachment."""
-    if move.source != ds:
-        raise InvalidMove("move does not belong to this dividing set")
-    validate_move(move)
-    left = set(move.left_labels)
-    parts = []
-    for v, ls in ds.components:
-        if v == move.uv:
-            parts.append(left)
-            continue
-        if v == move.ov:
-            parts.append(set(ls) | set(move.right_labels))
-            continue
-        parts.append(set(ls))
-    return from_partition(ds.n, ds.e, parts)
-
-
-@lru_cache(maxsize=None)
-def enumerate_bypasses(ds: DividingSet) -> tuple[BypassMove, ...]:
-    """All nontrivial bypass moves on ds, deterministically ordered.
+def find_moves(ds: DividingSet) -> list[BypassMove]:
+    """Every nontrivial bypass move on ds, deterministically ordered; the
+    component index keeps them, and callers read enumerate_bypasses.
 
     Configurations: pick a negative region, an ordered pair of distinct
     chords on it (exit from uv, target on ov), and any other chord of uv
@@ -192,7 +177,42 @@ def enumerate_bypasses(ds: DividingSet) -> tuple[BypassMove, ...]:
                     if chord_key(c1) == c2:
                         continue
                     moves.append(move_from_chords(ds, c1, c2, c3))
-    return tuple(sorted(set(moves), key=lambda b: (b.uv, b.ov, b.x, b.y, b.z)))
+    return sorted(set(moves), key=lambda b: (b.uv, b.ov, b.x, b.y, b.z))
+
+
+def surgery(move: BypassMove) -> DividingSet:
+    """The dividing set after the attachment, built from its partition; the
+    component index keeps its interned instance, and callers read attach."""
+    left = set(move.left_labels)
+    parts = []
+    for v, ls in move.source.components:
+        if v == move.uv:
+            parts.append(left)
+            continue
+        if v == move.ov:
+            parts.append(set(ls) | set(move.right_labels))
+            continue
+        parts.append(set(ls))
+    return from_partition(move.source.n, move.source.e, parts)
+
+
+def _move_id(ds: DividingSet, move: BypassMove) -> tuple[Component, int]:
+    if move.source != ds:
+        raise InvalidMove("move does not belong to this dividing set")
+    comp = component(ds.n, ds.e)
+    return comp, comp.move_id(move)
+
+
+def attach(ds: DividingSet, move: BypassMove) -> DividingSet:
+    """The dividing set after the bypass attachment."""
+    comp, m = _move_id(ds, move)
+    return comp.objects[comp.target(m)]
+
+
+def enumerate_bypasses(ds: DividingSet) -> tuple[BypassMove, ...]:
+    """All nontrivial bypass moves on ds, deterministically ordered."""
+    comp = component(ds.n, ds.e)
+    return comp.moves(comp.id(ds))
 
 
 @dataclass(frozen=True)
@@ -207,31 +227,31 @@ class Triangle:
     b3: BypassMove
 
 
-def _next_move(move: BypassMove) -> BypassMove:
-    """The induced bypass on attach(source, move) continuing the triangle."""
-    wall, p, q = _surgery(move)
-    target = attach(move.source, move)
-    return move_from_chords(target, p, q, wall)
+def _next_move(comp: Component, m: int) -> int:
+    """The induced bypass on the target of move m, continuing the triangle."""
+    wall, p, q = _surgery(comp.move_list[m])
+    return comp.move_id(move_from_chords(comp.objects[comp.target(m)], p, q, wall))
 
 
-@lru_cache(maxsize=None)
 def triangle(ds: DividingSet, move: BypassMove) -> Triangle:
-    b1 = move
-    g2 = attach(ds, b1)
-    b2 = _next_move(b1)
-    g3 = attach(g2, b2)
-    b3 = _next_move(b2)
-    if attach(g3, b3) != ds:
-        raise InvalidMove("triangle does not close")
-    return Triangle(ds, g2, g3, b1, b2, b3)
+    comp, m1 = _move_id(ds, move)
+    tri = comp.triangles.get(m1)
+    if tri is None:
+        m2 = _next_move(comp, m1)
+        m3 = _next_move(comp, m2)
+        b1, b2, b3 = (comp.move_list[m] for m in (m1, m2, m3))
+        if comp.target(m3) != comp.id(b1.source):
+            raise InvalidMove("triangle does not close")
+        tri = Triangle(b1.source, b2.source, b3.source, b1, b2, b3)
+        comp.triangles[m1] = tri
+    return tri
 
 
-@lru_cache(maxsize=None)
 def serre_rotate(ds: DividingSet) -> DividingSet:
     """Rotation by one positive arc: every label s becomes s-1 mod n+1."""
     n1 = ds.n + 1
     parts = [{(s - 1) % n1 for s in ls} for _, ls in ds.components]
-    return from_partition(ds.n, ds.e, parts)
+    return component(ds.n, ds.e).intern(from_partition(ds.n, ds.e, parts))
 
 
 def _nonbasic_outer_data(ds: DividingSet) -> tuple[NestVector, Geometry, NegRegion]:
@@ -406,6 +426,7 @@ def _transport(move: BypassMove, surg: BypassMove, order: dict, move_is_a: bool)
         sc3: (surg.target_chord[1], q, p),
     }
     target = attach(surg.source, surg)
+    comp = component(target.n, target.e)
 
     def image(c: tuple[int, int]) -> tuple[int, int]:
         if c not in pieces:
@@ -416,7 +437,8 @@ def _transport(move: BypassMove, surg: BypassMove, order: dict, move_is_a: bool)
         return left_new if on_left else right_new
 
     mc1, mc2, mc3 = _triple(move)
-    return move_from_chords(target, image(mc1), image(mc2), image(mc3))
+    moved = move_from_chords(target, image(mc1), image(mc2), image(mc3))
+    return comp.move_list[comp.move_id(moved)]
 
 
 @dataclass(frozen=True)
@@ -465,10 +487,3 @@ def commuting_squares(a: BypassMove, b: BypassMove) -> list[Square]:
 def disjoint_moves(a: BypassMove, b: BypassMove) -> bool:
     return bool(commuting_squares(a, b))
 
-
-def bypass_graph(n: int, e: int) -> dict[DividingSet, frozenset[DividingSet]]:
-    """Directed bypass-edge targets for every object of the (n,e) component."""
-    return {
-        g: frozenset(attach(g, mv) for mv in enumerate_bypasses(g))
-        for g in enumerate_objects(n, e)
-    }

@@ -218,11 +218,12 @@ def cmd_export_dot(args) -> int:
     if args.what == "bypass-graph":
         _check_bounds(args.n, args.e, args.max_n)
         lines = [f'digraph "bypass_{args.n}_{args.e}" {{']
-        graph = bypass.bypass_graph(args.n, args.e)
-        lines += [f"  {_dot_name(g)};" for g in graph]
-        for g, targets in graph.items():
+        comp = homs.component(args.n, args.e)
+        lines += [f"  {_dot_name(comp.objects[i])};" for i in comp.ids()]
+        for i in comp.ids():
+            targets = {comp.objects[t] for t, _ in comp.successors(i)}
             for t in sorted(targets, key=to_matching):
-                lines.append(f"  {_dot_name(g)} -> {_dot_name(t)};")
+                lines.append(f"  {_dot_name(comp.objects[i])} -> {_dot_name(t)};")
         lines.append("}")
         sys.stdout.write("\n".join(lines) + "\n")
         return 0

@@ -85,11 +85,17 @@ class DividingSet:
         items = tuple(sorted((tuple(v), tuple(sorted(labels))) for v, labels in comps.items()))
         return DividingSet(n, e, items)
 
+    # The label map, the chords, the non-boundary-parallel vectors and the
+    # geometry (see `geometry`) are facts of the dividing set alone, so each
+    # is computed once per instance and kept in its __dict__, as the hash
+    # is.  The component index hands out one interned instance per object,
+    # so these are not computed twice.
+
     def labels(self, v: NestVector) -> tuple[int, ...]:
-        for w, ls in self.components:
-            if w == v:
-                return ls
-        raise KeyError(v)
+        table = self.__dict__.get("_labels")
+        if table is None:
+            table = self.__dict__["_labels"] = dict(self.components)
+        return table[v]
 
     @property
     def vectors(self) -> tuple[NestVector, ...]:
@@ -104,7 +110,12 @@ class DividingSet:
     @property
     def vnb(self) -> tuple[NestVector, ...]:
         """Vectors of non-boundary-parallel components (more than one label)."""
-        return tuple(v for v, ls in self.components if v != STAR and len(ls) > 1)
+        out = self.__dict__.get("_vnb")
+        if out is None:
+            out = self.__dict__["_vnb"] = tuple(
+                v for v, ls in self.components if v != STAR and len(ls) > 1
+            )
+        return out
 
     @property
     def star(self) -> tuple[int, ...]:
@@ -127,9 +138,15 @@ class DividingSet:
 
     def chords(self, v: NestVector) -> tuple[tuple[int, int], ...]:
         """Oriented boundary chords of component v, in clockwise walk order."""
-        ls = self.labels(v)
-        k = len(ls)
-        return tuple((2 * ls[j] + 1, 2 * ls[(j + 1) % k]) for j in range(k))
+        table = self.__dict__.get("_chords")
+        if table is None:
+            table = self.__dict__["_chords"] = {}
+        out = table.get(v)
+        if out is None:
+            ls = self.labels(v)
+            k = len(ls)
+            out = table[v] = tuple((2 * ls[j] + 1, 2 * ls[(j + 1) % k]) for j in range(k))
+        return out
 
     def is_basic(self) -> bool:
         return not self.vnb
@@ -366,7 +383,7 @@ def noncrossing_matchings(n: int) -> Iterator[Matching]:
     yield from place(0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # one entry per (n, e): at most 45 under --max-n 8
 def enumerate_objects(n: int, e: int) -> tuple[DividingSet, ...]:
     """All dividing sets of the (n, e) component, ordered by their matching."""
     if not 0 <= e <= n:
@@ -391,7 +408,7 @@ def basic_of(n: int, e: int, based: Iterable[int]) -> DividingSet:
     return _basic(n, e, tuple(sorted(based)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # one instance per basic set, which interning relies on
 def _basic(n: int, e: int, s: tuple[int, ...]) -> DividingSet:
     if len(s) != e + 1 or not s or s[0] != 0 or s[-1] > n:
         raise BadBase(f"based set must contain 0 and have e+1={e + 1} labels in 0..n")
@@ -402,7 +419,7 @@ def _basic(n: int, e: int, s: tuple[int, ...]) -> DividingSet:
     return DividingSet.make(n, e, comps)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # one entry per (n, e): at most 45 under --max-n 8
 def basic_sets(n: int, e: int) -> tuple[DividingSet, ...]:
     """B_{n,e}, ordered by based label set; has binomial(n, e) elements."""
     out = [basic_of(n, e, (0,) + c) for c in itertools.combinations(range(1, n + 1), e)]
@@ -487,7 +504,7 @@ class NegRegion:
 
 @dataclass(frozen=True)
 class Geometry:
-    """Per-object cache of the chord diagram's face structure."""
+    """The chord diagram's face structure, kept once per instance."""
 
     ds: DividingSet
     matching: Matching
@@ -502,8 +519,14 @@ class Geometry:
         return bool(rv & rw)
 
 
-@lru_cache(maxsize=None)
 def geometry(ds: DividingSet) -> Geometry:
+    geo = ds.__dict__.get("_geometry")
+    if geo is None:
+        geo = ds.__dict__["_geometry"] = _faces(ds)
+    return geo
+
+
+def _faces(ds: DividingSet) -> Geometry:
     m = to_matching(ds)
     comp_of_chord = {}
     for v, _ in ds.components:

@@ -13,6 +13,9 @@ the chain map equals the drop in h, is constant across the surviving
 summands, and is given by a closed three-case formula depending on where
 label 0 sits relative to the arc.
 
+F-images with their omitting indices and bypass chain maps are kept by
+the component index (homs.Component), keyed by object id and move id.
+
 Library entry points here trust their DividingSet arguments: they do not
 run divset.validate, and an invalid dividing set gives an undefined
 answer or error.  The CLI validates at its boundary (cli._load_ds,
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .bypass import BypassMove, Triangle, attach, zero_region
@@ -38,7 +40,7 @@ from .divset import (
     parent,
 )
 from .errors import IndexNotApplicable, InvalidMove
-from .homs import bypass_chain, hom_nonzero, tight_basic
+from .homs import bypass_chain, component, hom_nonzero, tight_basic
 from .kom import ChainMap, Complex, ProjSummand, compose, identity_map, shift, zero_map
 
 
@@ -75,8 +77,11 @@ class GradedObject:
     a: int
 
 
-@lru_cache(maxsize=None)
 def omitting_indices(ds: DividingSet) -> tuple[OmittingIndex, ...]:
+    return f_data(ds).indices
+
+
+def _omitting_indices(ds: DividingSet) -> tuple[OmittingIndex, ...]:
     tpv = ds.tpv
     ranges = [range(ds.l(v) + 1) for v in tpv]
     out = [
@@ -159,9 +164,18 @@ class FData:
         return self.indices.index(idx)
 
 
-@lru_cache(maxsize=None)
 def f_data(ds: DividingSet) -> FData:
-    indices = omitting_indices(ds)
+    """F(ds) with its omitting indices, kept by the component index."""
+    comp = component(ds.n, ds.e)
+    i = comp.id(ds)
+    data = comp.f_images.get(i)
+    if data is None:
+        data = comp.f_images[i] = _f_data(comp.objects[i])
+    return data
+
+
+def _f_data(ds: DividingSet) -> FData:
+    indices = _omitting_indices(ds)
     pos = {idx: t for t, idx in enumerate(indices)}
     summands = tuple(
         ProjSummand(gamma_of(ds, idx), -coh_degree(ds, idx)) for idx in indices
@@ -353,9 +367,19 @@ def index_image(move: BypassMove, idx: OmittingIndex) -> OmittingIndex:
     return OmittingIndex.make(changes)
 
 
-@lru_cache(maxsize=None)
 def chain_map_F(move: BypassMove) -> ChainMap:
-    """The chain map induced by a nontrivial bypass."""
+    """The chain map induced by a nontrivial bypass, kept by the component
+    index under the move's id."""
+    ds = move.source
+    comp = component(ds.n, ds.e)
+    m = comp.move_id(move)
+    f = comp.chain_maps.get(m)
+    if f is None:
+        f = comp.chain_maps[m] = _chain_map_F(comp.move_list[m])
+    return f
+
+
+def _chain_map_F(move: BypassMove) -> ChainMap:
     src = f_data(move.source)
     dst = f_data(attach(move.source, move))
     entries = set()

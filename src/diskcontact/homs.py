@@ -24,13 +24,20 @@ cli._load_complex) before it calls in.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import deque
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
-from .bypass import BypassMove, attach, enumerate_bypasses
 from .divset import DividingSet, Matching, basic_of, basic_sets, enumerate_objects, to_matching
 from .errors import ComponentMismatch, NotBasic
+
+# bypass, functor and kom import this module, so it imports from them
+# only for type checking and, inside the methods that need them, at call time
+if TYPE_CHECKING:
+    from .bypass import BypassMove, Triangle
+    from .functor import FData
+    from .kom import ChainMap
 
 
 def _check_same_component(g: DividingSet, g2: DividingSet) -> None:
@@ -55,7 +62,7 @@ def _curves(m: Matching, m2: Matching) -> int:
     return cycles // 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # the benchmark's tracer reads its cache_info
 def rounded_components(g: DividingSet, g2: DividingSet) -> int:
     """Number of closed curves after stacking g under g2 and edge rounding."""
     _check_same_component(g, g2)
@@ -70,7 +77,6 @@ def hom_nonzero(g: DividingSet, g2: DividingSet) -> bool:
     return bool(comp._stage_filter(comp.id(g2), into=True)(comp.id(g)))
 
 
-@lru_cache(maxsize=None)
 def tight_basic(g: DividingSet, g2: DividingSet) -> bool:
     """Greedy tightness criterion between basic dividing sets.
 
@@ -146,24 +152,44 @@ def component(n: int, e: int) -> Component:
 
 
 class Component:
-    """Interned objects of one (n, e) component and the 0/1 data on them.
+    """The one owner of per-object state for one (n, e) component.
 
     Objects get integer ids on first use, so a point query interns only
-    the objects it touches.  A mask is an int whose bit i stands for the
-    object with id i.  Bypass successors, hom rows, reachability masks and
-    the composition masks built from them are filled on demand and kept;
-    a hom row or a composition mask covers the whole component, so asking
-    for one enumerates it.  Tight rows, which `kom` reads for the homs
-    between projectives, cover only the basic objects.
+    the objects it touches, and every object the library builds inside
+    the component (an attach target, a triangle vertex, a rotation) is
+    returned as the interned instance.  Moves are interned the same way,
+    with their own ids.  A mask is an int whose bit i stands for the
+    object with id i.
+
+    Kept here, filled on demand and dropped with the component when
+    `component` evicts it: the bypass moves of each object with their
+    targets, hom rows, tight rows (basic objects only), reachability
+    and composition masks, and the tables other modules fill: bypass
+    triangles, F-images with their omitting indices, bypass chain maps
+    and induced rotation blocks.  A hom row or a composition mask covers
+    the whole component, so asking for one enumerates it.
+
+    Four unbounded caches stay outside: divset's `enumerate_objects` and
+    `basic_sets` hold one entry per (n, e), `divset._basic` the one
+    instance per basic set that interning relies on, and
+    `rounded_components` is read by the benchmark's tracer.
     """
 
     def __init__(self, n: int, e: int):
         self.n, self.e = n, e
+        # stands for this component in data kept outside it (summand ids
+        # on a complex), so a rebuilt component never reads them
+        self.token = object()
         self.objects: list[DividingSet] = []
         self.matchings: list[Matching] = []
         self._ids: dict[DividingSet, int] = {}
         self._by_address: dict[int, int] = {}
         self._order: Optional[list[int]] = None
+        # moves get ids too, on first use; a move's target is filled when asked
+        self.move_list: list[BypassMove] = []
+        self._move_ids: dict[BypassMove, int] = {}
+        self._targets: list[Optional[int]] = []
+        self._moves: dict[int, tuple[BypassMove, ...]] = {}  # object id -> its moves
         self._successors: dict[int, tuple[tuple[int, BypassMove], ...]] = {}
         self._out: dict[int, int] = {}  # i -> mask of j with Hom(i, j) != 0
         self._in: dict[int, int] = {}  # j -> mask of i with Hom(i, j) != 0
@@ -173,6 +199,11 @@ class Component:
         self._into_by_anchor: dict[int, dict[int, int]] = {}
         self._into_by_start: dict[int, dict[int, int]] = {}
         self._from_by_anchor: dict[int, dict[int, int]] = {}
+        # filled by bypass, functor and kom
+        self.triangles: dict[int, Triangle] = {}  # by move id
+        self.f_images: dict[int, FData] = {}  # by object id
+        self.chain_maps: dict[int, ChainMap] = {}  # by move id
+        self.rotation_blocks: dict[tuple[int, int], ChainMap] = {}  # by (src id, dst id)
 
     def id(self, g: DividingSet) -> int:
         # Only interned instances are recorded by address; self.objects
@@ -190,20 +221,67 @@ class Component:
                 self.matchings.append(to_matching(g))
         return i
 
+    def intern(self, g: DividingSet) -> DividingSet:
+        """The interned instance equal to g."""
+        return self.objects[self.id(g)]
+
     def ids(self) -> list[int]:
         """Ids of all objects, in the order of enumerate_objects."""
         if self._order is None:
             self._order = [self.id(g) for g in enumerate_objects(self.n, self.e)]
         return self._order
 
+    def move_id(self, move: BypassMove) -> int:
+        """The id of the move, interned on first use with the interned
+        source; raises InvalidMove unless it is a nontrivial bypass."""
+        m = self._move_ids.get(move)
+        if m is None:
+            from .bypass import validate_move
+
+            validate_move(move)
+            m = self._add_move(move)
+        return m
+
+    def _add_move(self, move: BypassMove) -> int:
+        source = self.intern(move.source)
+        if source is not move.source:
+            move = dataclasses.replace(move, source=source)
+        m = self._move_ids[move] = len(self.move_list)
+        self.move_list.append(move)
+        self._targets.append(None)
+        return m
+
+    def target(self, m: int) -> int:
+        """Id of the dividing set after attaching move m."""
+        t = self._targets[m]
+        if t is None:
+            from .bypass import surgery
+
+            t = self._targets[m] = self.id(surgery(self.move_list[m]))
+        return t
+
+    def moves(self, i: int) -> tuple[BypassMove, ...]:
+        """The nontrivial bypasses on object i, interned, in the order of
+        enumerate_bypasses."""
+        moves = self._moves.get(i)
+        if moves is None:
+            from .bypass import find_moves
+
+            found = []
+            for mv in find_moves(self.objects[i]):
+                m = self._move_ids.get(mv)
+                found.append(self.move_list[self._add_move(mv) if m is None else m])
+            moves = self._moves[i] = tuple(found)
+        return moves
+
     def successors(self, i: int) -> tuple[tuple[int, BypassMove], ...]:
         """(target id, move) for every nontrivial bypass on object i, in
         the order of enumerate_bypasses."""
         succ = self._successors.get(i)
         if succ is None:
-            g = self.objects[i]
-            succ = tuple((self.id(attach(g, mv)), mv) for mv in enumerate_bypasses(g))
-            self._successors[i] = succ
+            succ = self._successors[i] = tuple(
+                (self.target(self._move_ids[mv]), mv) for mv in self.moves(i)
+            )
         return succ
 
     def hom_out(self, i: int) -> int:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional
 
 from . import gf2
@@ -81,17 +80,41 @@ def _entry_ok(a: ProjSummand, b: ProjSummand, k: int) -> bool:
     return b.h == a.h + k and tight_basic(a.gamma, b.gamma)
 
 
-def _component_of(*complexes: Complex) -> Optional[Component]:
-    """The component index of every summand, or None when there are none."""
-    n = e = None
-    for c in complexes:
-        for s in c.summands:
-            g = s.gamma
-            if n is None:
-                n, e = g.n, g.e
-            elif g.n != n or g.e != e:
-                raise ComponentMismatch(f"({n},{e}) vs ({g.n},{g.e})")
-    return None if n is None else component(n, e)
+def _summand_ids(c: Complex) -> tuple[Optional[Component], tuple[int, ...]]:
+    """The component index of c's summands and each summand's id in it, or
+    (None, ()) for an empty complex.
+
+    The ids are looked up once per complex and kept on it with the token
+    of the component that issued them, so a component rebuilt after an
+    eviction looks them up again instead of reading stale ids.  Raises
+    ComponentMismatch when the summands lie in more than one component.
+    """
+    if not c.summands:
+        return None, ()
+    g = c.summands[0].gamma
+    comp = component(g.n, g.e)
+    kept = c.__dict__.get("_ids")
+    if kept is not None and kept[0] is comp.token:
+        return comp, kept[1]
+    for s in c.summands:
+        if (s.gamma.n, s.gamma.e) != (g.n, g.e):
+            raise ComponentMismatch(f"({g.n},{g.e}) vs ({s.gamma.n},{s.gamma.e})")
+    ids = tuple(comp.id(s.gamma) for s in c.summands)
+    c.__dict__["_ids"] = (comp.token, ids)
+    return comp, ids
+
+
+def _pair_ids(
+    src: Complex, dst: Complex
+) -> tuple[Optional[Component], tuple[int, ...], tuple[int, ...]]:
+    """_summand_ids of both complexes, which must share one component."""
+    comp, a = _summand_ids(src)
+    comp2, b = _summand_ids(dst)
+    if comp is None:
+        return comp2, a, b
+    if comp2 is not None and (comp2.n, comp2.e) != (comp.n, comp.e):
+        raise ComponentMismatch(f"({comp.n},{comp.e}) vs ({comp2.n},{comp2.e})")
+    return comp, a, b
 
 
 def _compose_entries(
@@ -111,13 +134,8 @@ def _compose_entries(
     live = [p for p, c in count.items() if c]
     if not live:
         return frozenset()
-    comp = _component_of(src, dst)
-    sa, sb = src.summands, dst.summands
-    return frozenset(
-        (i, k)
-        for i, k in live
-        if comp.tight_row(comp.id(sa[i].gamma)) >> comp.id(sb[k].gamma) & 1
-    )
+    comp, a, b = _pair_ids(src, dst)
+    return frozenset((i, k) for i, k in live if comp.tight_row(a[i]) >> b[k] & 1)
 
 
 def verify_complex(c: Complex) -> bool:
@@ -194,18 +212,18 @@ def euler_vector(c: Complex) -> dict[DividingSet, int]:
 def map_basis(src: Complex, dst: Complex) -> list[tuple[int, int, int]]:
     """Every tight summand pair as (k, i, j), k = h_j - h_i, in (i, j) order.
 
-    The one scan of summand pairs: each summand id is looked up once and
-    one tight row is read per src summand.  Raises ComponentMismatch
-    unless every summand of src and dst lies in one component.
+    The one scan of summand pairs: one tight row is read per src summand.
+    Raises ComponentMismatch unless every summand of src and dst lies in
+    one component.
     """
-    comp = _component_of(src, dst)
+    comp, a, b = _pair_ids(src, dst)
     if comp is None:
         return []
-    ids = [(comp.id(b.gamma), b.h) for b in dst.summands]
+    targets = [(x, s.h) for x, s in zip(b, dst.summands)]
     out: list[tuple[int, int, int]] = []
-    for i, a in enumerate(src.summands):
-        row = comp.tight_row(comp.id(a.gamma))
-        out.extend((h - a.h, i, j) for j, (x, h) in enumerate(ids) if row >> x & 1)
+    for i, (x, s) in enumerate(zip(a, src.summands)):
+        row = comp.tight_row(x)
+        out.extend((h - s.h, i, j) for j, (y, h) in enumerate(targets) if row >> y & 1)
     return out
 
 
@@ -254,8 +272,9 @@ class HomComplex:
     map basis of every degree; `degrees` are the degrees some tight
     summand pair is apart by, and every other degree has an empty basis.
     Each degree's differential columns and rank are computed at most
-    once.  Raises ComponentMismatch unless every summand of src and dst
-    lies in one component.
+    once, and the adjacency of the two differentials only when a first
+    column is.  Raises ComponentMismatch unless every summand of src and
+    dst lies in one component.
     """
 
     def __init__(self, src: Complex, dst: Complex):
@@ -264,8 +283,7 @@ class HomComplex:
         for k, i, j in map_basis(src, dst):
             self._basis.setdefault(k, []).append((i, j))
         self.degrees = sorted(self._basis)
-        self._src_in = _arrows(src.d, True)
-        self._dst_out = _arrows(dst.d, False)
+        self._adjacency: Optional[tuple[dict[int, list[int]], dict[int, list[int]]]] = None
         self._pos: dict[int, dict[tuple[int, int], int]] = {}
         self._cols: dict[int, list[int]] = {}
         self._rank: dict[int, int] = {}
@@ -285,9 +303,10 @@ class HomComplex:
         """D on the degree-k basis, as masks over the degree-(k+1) basis."""
         cols = self._cols.get(k)
         if cols is None:
-            cols = self._cols[k] = _columns(
-                self._src_in, self._dst_out, self.basis(k), self.position(k + 1)
-            )
+            if self._adjacency is None:
+                self._adjacency = (_arrows(self.src.d, True), _arrows(self.dst.d, False))
+            src_in, dst_out = self._adjacency
+            cols = self._cols[k] = _columns(src_in, dst_out, self.basis(k), self.position(k + 1))
         return cols
 
     def rank(self, k: int) -> int:
@@ -411,10 +430,10 @@ def simplify(c: Complex) -> Complex:
     Repeatedly cancels a pair connected by an identity map, correcting the
     remaining differential by the zig-zag through the removed pair.
     """
-    comp = _component_of(c)
+    comp, ids = _summand_ids(c)
     summands = list(c.summands)
-    ids = [comp.id(s.gamma) for s in summands] if comp else []
-    rows = [comp.tight_row(x) for x in ids] if comp else []
+    ids = list(ids)
+    rows = [comp.tight_row(x) for x in ids]
     d = set(c.d)
     while True:
         pivot = next(((i, j) for (i, j) in sorted(d) if ids[i] == ids[j]), None)
@@ -465,14 +484,19 @@ def serre_resolution(g: DividingSet) -> Complex:
     return res
 
 
-@lru_cache(maxsize=None)
 def _induced_block(gi: DividingSet, gj: DividingSet) -> ChainMap:
+    """F of the rotated generator of Hom(gi, gj), kept by the component index."""
     from .bypass import serre_rotate
     from .functor import F_of_morphism
 
-    f = F_of_morphism(serre_rotate(gi), serre_rotate(gj))
-    if f.k != 0:
-        raise ShapeMismatch("induced rotation block must have degree 0")
+    comp = component(gi.n, gi.e)
+    key = (comp.id(gi), comp.id(gj))
+    f = comp.rotation_blocks.get(key)
+    if f is None:
+        f = F_of_morphism(serre_rotate(gi), serre_rotate(gj))
+        if f.k != 0:
+            raise ShapeMismatch("induced rotation block must have degree 0")
+        comp.rotation_blocks[key] = f
     return f
 
 

@@ -528,8 +528,13 @@ def suite_algebra(n: int, e: int) -> SuiteReport:
 
     def matches_composition():
         B = basic_sets(n, e)
+        comp = homs.component(n, e)
+
+        def tight(g, g2) -> bool:
+            return bool(comp.tight_row(comp.id(g)) >> comp.id(g2) & 1)
+
         for g, g2, g3 in itertools.product(B, repeat=3):
-            if not (homs.tight_basic(g, g2) and homs.tight_basic(g2, g3)):
+            if not (tight(g, g2) and tight(g2, g3)):
                 continue
             prod = algebra.multiply(algebra.generator(g, g2), algebra.generator(g2, g3))
             if (not prod.is_zero()) != homs.composition_nonzero(g, g2, g3):

@@ -1,7 +1,11 @@
+import gc
+import importlib
 import itertools
+import pkgutil
 
 import pytest
 
+import diskcontact
 from diskcontact import bypass, homs, kom, suites
 from diskcontact.divset import (
     STAR,
@@ -282,3 +286,57 @@ def test_stack_order_check_sees_a_dropped_stage_filter(monkeypatch):
     check = next(c for c in report.checks if c.check_id == "homs.stack_order_insensitive")
     assert not check.ok
     assert check.counterexample == dict(zip(("g", "g2", "g3"), map(ds_to_json, first)))
+
+
+# --- the component owns per-object state --------------------------------------
+
+
+def test_component_owns_moves_complexes_and_chain_maps():
+    homs.component.cache_clear()
+    try:
+        assert all(r.ok for r in suites.run_suite("all", 4, 2))
+        comp = component(4, 2)
+        for g in enumerate_objects(4, 2):
+            rotated = bypass.serre_rotate(g)
+            assert rotated is comp.objects[comp.id(rotated)]
+            for mv in bypass.enumerate_bypasses(g):
+                assert mv.source is comp.objects[comp.id(g)]
+                x = bypass.attach(g, mv)
+                assert x is comp.objects[comp.id(x)]
+                tri = bypass.triangle(g, mv)
+                for x in (tri.g1, tri.g2, tri.g3):
+                    assert x is comp.objects[comp.id(x)]
+                for b in (tri.b1, tri.b2, tri.b3):
+                    assert b is comp.move_list[comp.move_id(b)]
+        del comp, g, mv, x, tri, b, rotated
+    finally:
+        homs.component.cache_clear()
+    # rounded_components keeps whichever instances its callers passed
+    rounded_components.cache_clear()
+    gc.collect()
+    alive = gc.get_objects()
+    assert not [o for o in alive if type(o) in (bypass.BypassMove, kom.ChainMap)]
+    assert not [
+        o
+        for o in alive
+        if type(o) is kom.Complex and any((s.gamma.n, s.gamma.e) == (4, 2) for s in o.summands)
+    ]
+    kept = [o for o in alive if type(o) is DividingSet and (o.n, o.e) == (4, 2)]
+    assert len(kept) <= len(enumerate_objects(4, 2)) + len(basic_sets(4, 2)) == 26
+
+
+def test_only_the_four_kept_caches_are_unbounded():
+    # An unbounded cache outlives every component; adding one means adding
+    # it here with the reason it may grow.
+    caches = {}
+    for info in pkgutil.iter_modules(diskcontact.__path__, "diskcontact."):
+        for obj in vars(importlib.import_module(info.name)).values():
+            if hasattr(obj, "cache_info"):
+                caches[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_parameters()["maxsize"]
+    assert caches == {
+        "diskcontact.divset._basic": None,  # one instance per basic set, for interning
+        "diskcontact.divset.enumerate_objects": None,  # one entry per (n, e)
+        "diskcontact.divset.basic_sets": None,  # one entry per (n, e)
+        "diskcontact.homs.rounded_components": None,  # bench/tracer.py reads its cache_info
+        "diskcontact.homs.component": 8,
+    }

@@ -424,3 +424,33 @@ def test_empty_complex_has_zero_hom():
     assert hom_total(EMPTY, p) == hom_total(p, EMPTY) == hom_total(EMPTY, EMPTY) == 0
     assert hom_by_degree(EMPTY, p) == {}
     assert is_nullhomotopic(zero_map(EMPTY, p))
+
+
+# --- lazy adjacency and summand ids kept per complex ---------------------------
+
+
+def test_hom_between_projectives_builds_no_adjacency(monkeypatch):
+    def refuse(d, reverse):
+        raise AssertionError("adjacency built for a complex no column needs")
+
+    monkeypatch.setattr(kom, "_arrows", refuse)
+    g, g2 = basic_of(4, 2, {0, 1, 3}), basic_of(4, 2, {0, 2, 4})
+    assert hom_total(projective(g), projective(g2)) == 1
+    assert hom_total(projective(g2), projective(g)) == 0
+    assert hom_by_degree(projective(g), projective(g, 3)) == {3: 1}
+
+
+def test_summand_ids_are_looked_up_again_in_a_rebuilt_component():
+    objs = enumerate_objects(4, 2)
+    images = [functor.build_F(g) for g in objs]
+    want = [hom_by_degree(a, b) for a in images for b in images]
+    assert any(want)
+    homs.component.cache_clear()
+    try:
+        comp = homs.component(4, 2)
+        for c in reversed(images):
+            for s in reversed(c.summands):
+                comp.id(s.gamma)
+        assert [hom_by_degree(a, b) for a in images for b in images] == want
+    finally:
+        homs.component.cache_clear()
