@@ -32,7 +32,6 @@ from .bypass import (
     Triangle,
     attach,
     canonical_bypass,
-    disjoint_moves,
     enumerate_bypasses,
     obar,
     serre_rotate,

@@ -22,8 +22,10 @@ The induced triangle continues with the move (p, q, wall) on the result.
 
 Moves, their targets and triangles are kept by the component index
 (homs.Component): each object's moves are enumerated once, and
-`enumerate_bypasses`, `attach`, `triangle` and `serre_rotate` return
-the component's interned moves and objects.
+`enumerate_bypasses`, `attach`, `triangle`, `serre_rotate` and
+`commuting_squares` return the component's interned moves and objects;
+`commuting_squares` finds a transported arc by its chords in the
+target's move table.
 
 Library entry points here trust their DividingSet arguments: they do not
 run divset.validate, and an invalid dividing set gives an undefined
@@ -33,6 +35,7 @@ cli._load_complex) before it calls in.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .divset import (
@@ -51,7 +54,7 @@ from .errors import ComponentMismatch, InvalidMove, IsBasic
 from .homs import Component, component
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BypassMove:
     """A nontrivial bypass attachment on `source`, encoded by (uv, ov, x, y, z)."""
 
@@ -146,13 +149,16 @@ def move_from_chords(
 
 def _surgery(move: BypassMove) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
     """New chord keys (wall, p, q) replacing entry/exit/target chords."""
-    e_from, e_to = move.entry_chord
-    x_from, x_to = move.exit_chord
-    t_from, t_to = move.target_chord
-    wall = chord_key((e_to, x_from))
-    p = chord_key((x_to, t_from))
-    q = chord_key((e_from, t_to))
-    return wall, p, q
+    return _new_chords(move.entry_chord, move.exit_chord, move.target_chord)
+
+
+def _new_chords(entry, exit, target) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
+    """(wall, p, q) for the oriented entry, exit and target chords."""
+    return (
+        chord_key((entry[1], exit[0])),
+        chord_key((exit[1], target[0])),
+        chord_key((entry[0], target[1])),
+    )
 
 
 def find_moves(ds: DividingSet) -> list[BypassMove]:
@@ -215,7 +221,7 @@ def enumerate_bypasses(ds: DividingSet) -> tuple[BypassMove, ...]:
     return comp.moves(comp.id(ds))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triangle:
     """A bypass triangle g1 -> g2 -> g3 -> g1."""
 
@@ -356,89 +362,75 @@ def _triple(move: BypassMove) -> tuple[tuple[int, int], tuple[int, int], tuple[i
     )
 
 
-def _segments(move: BypassMove):
-    """The two face passages of the arc: (face id, chord in, chord out)."""
-    geo = geometry(move.source)
-    c1, c2, c3 = _triple(move)
-    return [
-        (("pos", move.uv), c1, c2),
-        (("neg", geo.neg_of_chord[c2]), c2, c3),
-    ]
+def _chord_code(size: int, c1: tuple[int, int], c2: tuple[int, int], c3: tuple[int, int]) -> int:
+    """One int for the chord keys (entry, exit, target) of an arc on a
+    disk with `size` marked points: the key of the component's move
+    tables."""
+    s2 = size * size
+    return ((c1[0] * size + c1[1]) * s2 + c2[0] * size + c2[1]) * s2 + c3[0] * size + c3[1]
 
 
-def _face_slots(ds: DividingSet, face) -> list[tuple[tuple[int, int], bool]]:
-    """Chords around a face in walk order, flagged if walked min->max."""
-    geo = geometry(ds)
-    kind, which = face
-    if kind == "pos":
-        return [(chord_key(c), c[0] < c[1]) for c in ds.chords(which)]
-    out = []
+def _move_code(move: BypassMove) -> int:
+    return _chord_code(2 * move.source.n + 2, *_triple(move))
+
+
+def _arc(comp: Component, m: int):
+    """What a pair of arcs needs of move m, computed once per pair: its
+    chord triple, the two faces it passes through with the walk slot and
+    walk direction (min->max) of the chords it crosses there, the pieces
+    its surgery cuts its three chords into, and its target's id."""
+    move = comp.move_list[m]
+    ds = move.source
+    chords_uv = ds.chords(move.uv)
+    i1 = (move.x - 1) % len(chords_uv)
+    entry, exit = chords_uv[i1], chords_uv[move.y]
+    chords_ov = ds.chords(move.ov)
+    target = chords_ov[(move.z - 1) % len(chords_ov)]
+    c1, c2, c3 = chord_key(entry), chord_key(exit), chord_key(target)
+    wall, p, q = _new_chords(entry, exit, target)
+    # left corner endpoint of each cut chord, and the new chords its left
+    # and right pieces join
+    pieces = {c1: (entry[1], wall, q), c2: (exit[0], wall, p), c3: (target[1], q, p)}
+    pos_face = ((i1, entry[0] < entry[1], c1), (move.y, exit[0] < exit[1], c2))
+    return (c1, c2, c3), move.uv, geometry(ds).neg_of_chord[c2], pos_face, pieces, comp.target(m)
+
+
+def _neg_face(ds: DividingSet, region: int, cs) -> tuple:
+    """(walk slot, walked min->max, chord) of the chords cs around a
+    negative region."""
     size = 2 * ds.n + 2
-    for t, c in geo.neg_regions[which].walk:
-        start = (2 * t + 2) % size
-        out.append((c, start == c[0]))
-    return out
+    walk = geometry(ds).neg_regions[region].walk
+    slots = {c: (i, (2 * t + 2) % size == c[0]) for i, (t, c) in enumerate(walk)}
+    return tuple(slots[c] + (c,) for c in cs)
 
 
-def _no_crossing(a: BypassMove, b: BypassMove, order: dict) -> bool:
-    """Check the configuration where order[c] means a's point on chord c
-    comes before b's point in the chord's min->max direction."""
-    ds = a.source
-    segs_a = _segments(a)
-    segs_b = _segments(b)
-    for face_a, in_a, out_a in segs_a:
-        for face_b, in_b, out_b in segs_b:
-            if face_a != face_b:
-                continue
-            slots = _face_slots(ds, face_a)
-            chords = [c for c, _ in slots]
-
-            def posn(c: tuple[int, int], of_a: bool) -> tuple[int, int]:
-                i = chords.index(c)
-                if c not in order:
-                    return (i, 0)
-                a_first = order[c] == slots[i][1]
-                return (i, 0 if a_first == of_a else 1)
-
-            cyc = sorted(
-                [
-                    (posn(in_a, True), "a"),
-                    (posn(out_a, True), "a"),
-                    (posn(in_b, False), "b"),
-                    (posn(out_b, False), "b"),
-                ]
-            )
-            pattern = [t for _, t in cyc]
-            if pattern in (["a", "b", "a", "b"], ["b", "a", "b", "a"]):
-                return False
-    return True
+def _interleaved(face_a, face_b, order: dict) -> bool:
+    """Do the two passages cross in one face, when order[c] means a's
+    point on chord c comes before b's in the chord's min->max direction?"""
+    ends = []
+    for face, of_a in ((face_a, True), (face_b, False)):
+        for i, up, c in face:
+            after = c in order and ((order[c] == up) != of_a)
+            ends.append((i, after, of_a))
+    ends.sort()
+    return ends[0][2] == ends[2][2]
 
 
-def _transport(move: BypassMove, surg: BypassMove, order: dict, move_is_a: bool) -> BypassMove:
-    """Where `move` lands after attaching `surg`, under the given ordering."""
-    wall, p, q = _surgery(surg)
-    sc1, sc2, sc3 = _triple(surg)
-    # left corner endpoints of the three cut chords, and the new chord each
-    # piece joins: (L piece, R piece)
-    pieces = {
-        sc1: (surg.entry_chord[1], wall, q),
-        sc2: (surg.exit_chord[0], wall, p),
-        sc3: (surg.target_chord[1], q, p),
-    }
-    target = attach(surg.source, surg)
-    comp = component(target.n, target.e)
-
-    def image(c: tuple[int, int]) -> tuple[int, int]:
-        if c not in pieces:
-            return c
-        left_end, left_new, right_new = pieces[c]
-        move_first = order[c] == move_is_a
-        on_left = (left_end == c[0]) == move_first
-        return left_new if on_left else right_new
-
-    mc1, mc2, mc3 = _triple(move)
-    moved = move_from_chords(target, image(mc1), image(mc2), image(mc3))
-    return comp.move_list[comp.move_id(moved)]
+def _transport(
+    comp: Component, size: int, triple, pieces: dict, target: int, order: dict, move_is_a: bool
+) -> "BypassMove | None":
+    """Where the arc with chord triple `triple` lands after the surgery
+    with `pieces` and `target`, under the given ordering: the target's
+    interned move, or None when no nontrivial bypass crosses the images."""
+    cs = []
+    for c in triple:
+        piece = pieces.get(c)
+        if piece is not None:
+            left_end, left_new, right_new = piece
+            c = left_new if (left_end == c[0]) == (order[c] == move_is_a) else right_new
+        cs.append(c)
+    m = comp.move_at(target, _chord_code(size, *cs))
+    return None if m is None else comp.move_list[m]
 
 
 @dataclass(frozen=True)
@@ -457,33 +449,35 @@ class Square:
 
 
 def commuting_squares(a: BypassMove, b: BypassMove) -> list[Square]:
-    """All disjoint configurations of the two arcs."""
-    import itertools as it
+    """All disjoint configurations of the two arcs.
 
+    Each arc's geometry is computed once for the pair, and a transported
+    arc is found in the move table of the other arc's target.
+    """
     if a.source != b.source:
         raise ComponentMismatch("moves on different dividing sets")
     if a == b:
         return []
-    shared = sorted(set(_triple(a)) & set(_triple(b)))
+    ds = a.source
+    comp = component(ds.n, ds.e)
+    triple_a, uv_a, neg_a, pos_a, pieces_a, target_a = _arc(comp, comp.move_id(a))
+    triple_b, uv_b, neg_b, pos_b, pieces_b, target_b = _arc(comp, comp.move_id(b))
+    faces = []
+    if uv_a == uv_b:
+        faces.append((pos_a, pos_b))
+    if neg_a == neg_b:
+        faces.append((_neg_face(ds, neg_a, triple_a[1:]), _neg_face(ds, neg_b, triple_b[1:])))
+    shared = sorted(set(triple_a) & set(triple_b))
+    size = 2 * ds.n + 2
     squares = []
-    for bits in it.product((True, False), repeat=len(shared)):
+    for bits in itertools.product((True, False), repeat=len(shared)):
         order = dict(zip(shared, bits))
-        if not _no_crossing(a, b, order):
+        if any(_interleaved(fa, fb, order) for fa, fb in faces):
             continue
-        try:
-            ta = _transport(b, a, order, move_is_a=False)
-        except InvalidMove:
-            ta = None
-        try:
-            tb = _transport(a, b, order, move_is_a=True)
-        except InvalidMove:
-            tb = None
-        sq = Square(ta, tb)
+        sq = Square(
+            _transport(comp, size, triple_b, pieces_a, target_a, order, move_is_a=False),
+            _transport(comp, size, triple_a, pieces_b, target_b, order, move_is_a=True),
+        )
         if sq not in squares:
             squares.append(sq)
     return squares
-
-
-def disjoint_moves(a: BypassMove, b: BypassMove) -> bool:
-    return bool(commuting_squares(a, b))
-

@@ -40,7 +40,8 @@ from .divset import (
     parent,
 )
 from .errors import IndexNotApplicable, InvalidMove
-from .homs import bypass_chain, component, hom_nonzero, tight_basic
+# tight_basic stays bound here for bench/test_bench.py, which asserts the tracer rebinds it
+from .homs import Component, bypass_chain, component, hom_nonzero, tight_basic
 from .kom import ChainMap, Complex, ProjSummand, compose, identity_map, shift, zero_map
 
 
@@ -175,16 +176,20 @@ def f_data(ds: DividingSet) -> FData:
 
 
 def _f_data(ds: DividingSet) -> FData:
+    comp = component(ds.n, ds.e)
     indices = _omitting_indices(ds)
     pos = {idx: t for t, idx in enumerate(indices)}
     summands = tuple(
         ProjSummand(gamma_of(ds, idx), -coh_degree(ds, idx)) for idx in indices
     )
+    ids = [comp.id(s.gamma) for s in summands]
     d = set()
     for idx in indices:
+        i = pos[idx]
         for v, jdx in differential_data(ds, idx):
-            assert tight_basic(gamma_of(ds, idx), gamma_of(ds, jdx))
-            d.add((pos[idx], pos[jdx]))
+            j = pos[jdx]
+            assert comp.tight_row(ids[i]) >> ids[j] & 1
+            d.add((i, j))
     return FData(ds, Complex(summands, frozenset(d)), indices)
 
 
@@ -267,13 +272,17 @@ def left_shuffling_vectors(move: BypassMove) -> tuple[NestVector, ...]:
 
 def shuffling_type(move: BypassMove) -> tuple[str, Optional[NestVector], Optional[int]]:
     """("Y"|"Z"|"none", pivot vector, pivot position) for the move."""
+    return _shuffling_type(move, left_shuffling_vectors(move))
+
+
+def _shuffling_type(move: BypassMove, lsv: tuple[NestVector, ...]):
     ds = move.source
     a = ds.label_at(move.uv, move.y)
     b = ds.label_at(move.ov, move.z)
     if a < b:
         return ("Y", None, None)
     both = set(ds.labels(move.uv)) | set(ds.labels(move.ov))
-    for w in left_shuffling_vectors(move):
+    for w in lsv:
         ls = ds.labels(w)
         for k in range(1, len(ls)):
             if all(ls[k - 1] < s < ls[k] for s in both):
@@ -281,90 +290,117 @@ def shuffling_type(move: BypassMove) -> tuple[str, Optional[NestVector], Optiona
     return ("none", None, None)
 
 
+def _right_of_arc(move: BypassMove):
+    """Predicate on omitting indices: does the summand sit right of the
+    arc (label 0 right of it when uv is based, else uv's omitted position
+    outside [[x, y]])?  Identity indices are the others, shuffling indices
+    are drawn from these."""
+    if 0 in move.source.labels(move.uv):
+        zero_right = 0 not in move.left_labels
+        return lambda idx: zero_right
+    left = frozenset(move.left_positions)
+    return lambda idx: idx.entry(move.uv) not in left
+
+
 def identity_indices(move: BypassMove) -> tuple[OmittingIndex, ...]:
-    ds = move.source
-    left = set(move.left_labels)
-    out = []
-    for idx in omitting_indices(ds):
-        if 0 in left:
-            out.append(idx)
-        elif 0 not in ds.labels(move.uv) and idx.entry(move.uv) in move.left_positions:
-            out.append(idx)
-    return tuple(out)
+    right = _right_of_arc(move)
+    return tuple(idx for idx in omitting_indices(move.source) if not right(idx))
 
 
 def shuffling_indices(move: BypassMove) -> tuple[OmittingIndex, ...]:
-    ds = move.source
-    kind, wb, kb = shuffling_type(move)
     lsv = left_shuffling_vectors(move)
+    return _shuffling_indices(move, _shuffling_type(move, lsv), lsv)
+
+
+def _shuffling_indices(move: BypassMove, shuffle, lsv) -> tuple[OmittingIndex, ...]:
+    kind, wb, kb = shuffle
+    if move.ov == STAR or kind == "none":
+        return ()
+    right = _right_of_arc(move)
     out = []
-    for idx in omitting_indices(ds):
-        if 0 in ds.labels(move.uv):
-            if 0 in move.left_labels:
-                continue
-        elif idx.entry(move.uv) in move.left_positions:
-            continue
-        if move.ov == STAR or idx.entry(move.ov) != move.z:
+    for idx in omitting_indices(move.source):
+        if not right(idx) or idx.entry(move.ov) != move.z:
             continue
         if kind == "Y":
             if any(idx.entry(w) != 0 for w in lsv):
                 continue
-        elif kind == "Z":
+        else:
             if idx.entry(wb) != kb:
                 continue
             if any(idx.entry(w) != 0 for w in lsv if w != wb):
                 continue
-        else:
-            continue
         out.append(idx)
     return tuple(out)
 
 
 def split_indices(move: BypassMove):
     """(identity indices, shuffling indices, type, LSV, pivot or None)."""
-    kind, wb, kb = shuffling_type(move)
+    lsv = left_shuffling_vectors(move)
+    shuffle = _shuffling_type(move, lsv)
+    kind, wb, kb = shuffle
     return (
         identity_indices(move),
-        shuffling_indices(move),
+        _shuffling_indices(move, shuffle, lsv),
         kind,
-        left_shuffling_vectors(move),
+        lsv,
         (wb, kb) if kind == "Z" else None,
     )
+
+
+def _shuffled_omitted(move: BypassMove, shuffle, lsv):
+    """The labels a shuffling index omits after the move, as a function of
+    the index; the part common to every index is computed once."""
+    ds = move.source
+    kind, wb, kb = shuffle
+    lab = {move.uv: ds.label_at(move.uv, move.y)}
+    for w in lsv:
+        lab[w] = ds.label_at(w, ds.l(w))
+    if kind == "Z":
+        lab[wb] = ds.label_at(wb, kb - 1)
+    common = frozenset(lab.values())
+    skip = set(lab) | {move.ov}
+    # the merged component is non-based and omits uv's old label
+    merged = 0 not in move.right_labels
+
+    def omitted(idx: OmittingIndex) -> frozenset[int]:
+        keep = {ds.label_at(v, i) for v, i in idx.entries if v not in skip}
+        if merged:
+            keep.add(ds.label_at(move.uv, idx.entry(move.uv)))
+        return common.union(keep)
+
+    return omitted
+
+
+def _index_of_omitted(target: DividingSet):
+    """The omitting index of target that omits the given labels."""
+    where = {s: (v, i) for v in target.tpv for i, s in enumerate(target.labels(v))}
+    count = len(target.tpv)
+
+    def index(omitted: frozenset[int]) -> OmittingIndex:
+        changes = {}
+        for s in omitted:
+            hit = where.get(s)
+            if hit is not None:
+                assert hit[0] not in changes, (target, omitted)
+                changes[hit[0]] = hit[1]
+        assert len(changes) == count, (target, omitted)
+        return OmittingIndex.make(changes)
+
+    return index
 
 
 def index_image(move: BypassMove, idx: OmittingIndex) -> OmittingIndex:
     """The omitting index of the target complex hit by this summand."""
     ds = move.source
-    target = attach(ds, move)
-    ii = identity_indices(move)
-    si = shuffling_indices(move)
-    if idx in ii:
-        new_omitted = omitted_labels(ds, idx)
-    elif idx in si:
-        kind, wb, kb = shuffling_type(move)
-        lab = {}
-        lab[move.uv] = ds.label_at(move.uv, move.y)
-        if 0 not in move.right_labels:
-            # the merged component is non-based and omits uv's old label
-            lab[move.ov] = ds.label_at(move.uv, idx.entry(move.uv))
-        for w in left_shuffling_vectors(move):
-            lab[w] = ds.label_at(w, ds.l(w))
-        if kind == "Z":
-            lab[wb] = ds.label_at(wb, kb - 1)
-        keep = {
-            ds.label_at(v, i)
-            for v, i in idx.entries
-            if v not in set(lab) | {move.ov}
-        }
-        new_omitted = frozenset(keep | set(lab.values()))
+    lsv = left_shuffling_vectors(move)
+    shuffle = _shuffling_type(move, lsv)
+    if idx in identity_indices(move):
+        omitted = omitted_labels(ds, idx)
+    elif idx in _shuffling_indices(move, shuffle, lsv):
+        omitted = _shuffled_omitted(move, shuffle, lsv)(idx)
     else:
         raise IndexNotApplicable(f"{idx} not an identity or shuffling index")
-    changes = {}
-    for v in target.tpv:
-        hits = [s for s in target.labels(v) if s in new_omitted]
-        assert len(hits) == 1, (move, idx, new_omitted)
-        changes[v] = target.labels(v).index(hits[0])
-    return OmittingIndex.make(changes)
+    return _index_of_omitted(attach(ds, move))(omitted)
 
 
 def chain_map_F(move: BypassMove) -> ChainMap:
@@ -375,19 +411,31 @@ def chain_map_F(move: BypassMove) -> ChainMap:
     m = comp.move_id(move)
     f = comp.chain_maps.get(m)
     if f is None:
-        f = comp.chain_maps[m] = _chain_map_F(comp.move_list[m])
+        f = comp.chain_maps[m] = _chain_map_F(comp, m)
     return f
 
 
-def _chain_map_F(move: BypassMove) -> ChainMap:
-    src = f_data(move.source)
-    dst = f_data(attach(move.source, move))
+def _chain_map_F(comp: Component, m: int) -> ChainMap:
+    """index_image on every identity and shuffling index of move m, with
+    the per-move data computed once."""
+    move = comp.move_list[m]
+    ds = move.source
+    src = f_data(ds)
+    dst = f_data(comp.objects[comp.target(m)])
+    lsv = left_shuffling_vectors(move)
+    shuffle = _shuffling_type(move, lsv)
+    shuffled = _shuffled_omitted(move, shuffle, lsv)
+    on_target = _index_of_omitted(dst.ds)
+    src_pos = {idx: t for t, idx in enumerate(src.indices)}
+    dst_pos = {idx: t for t, idx in enumerate(dst.indices)}
+    pairs = [(idx, omitted_labels(ds, idx)) for idx in identity_indices(move)]
+    pairs += [(idx, shuffled(idx)) for idx in _shuffling_indices(move, shuffle, lsv)]
     entries = set()
-    for idx in identity_indices(move) + shuffling_indices(move):
-        jdx = index_image(move, idx)
-        i = src.position(idx)
-        j = dst.position(jdx)
-        assert tight_basic(src.complex.summands[i].gamma, dst.complex.summands[j].gamma)
+    for idx, omitted in pairs:
+        i = src_pos[idx]
+        j = dst_pos[on_target(omitted)]
+        a = comp.id(src.complex.summands[i].gamma)
+        assert comp.tight_row(a) >> comp.id(dst.complex.summands[j].gamma) & 1
         entries.add((i, j))
     k = _constant_degree(src, dst, entries)
     return ChainMap(src.complex, dst.complex, k, frozenset(entries))
@@ -466,18 +514,15 @@ def gamma_chain_map(tri: Triangle) -> ChainMap:
     src = f_data(tri.g1)
     dst = f_data(tri.g3)
     ii = set(identity_indices(tri.b1))
+    # distinct indices omit distinct label sets: components are disjoint
+    position = {omitted_labels(tri.g3, jdx): j for j, jdx in enumerate(dst.indices)}
     entries = set()
-    for idx in src.indices:
+    for i, idx in enumerate(src.indices):
         if idx in ii:
             continue
-        mine = omitted_labels(tri.g1, idx)
-        hits = [
-            j
-            for j, jdx in enumerate(dst.indices)
-            if omitted_labels(tri.g3, jdx) == mine
-        ]
-        assert len(hits) == 1
-        entries.add((src.position(idx), hits[0]))
+        j = position.get(omitted_labels(tri.g1, idx))
+        assert j is not None
+        entries.add((i, j))
     k = _constant_degree(src, dst, entries) if entries else 0
     return ChainMap(src.complex, dst.complex, k, frozenset(entries))
 

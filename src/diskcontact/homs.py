@@ -163,11 +163,13 @@ class Component:
 
     Kept here, filled on demand and dropped with the component when
     `component` evicts it: the bypass moves of each object with their
-    targets, hom rows, tight rows (basic objects only), reachability
-    and composition masks, and the tables other modules fill: bypass
-    triangles, F-images with their omitting indices, bypass chain maps
-    and induced rotation blocks.  A hom row or a composition mask covers
-    the whole component, so asking for one enumerates it.
+    targets and, once a move is looked up by its chords, a table from
+    their chord triples to their ids (`move_at`), hom rows, tight rows
+    (basic objects only), reachability and composition masks, and the
+    tables other modules fill: bypass triangles, F-images with their
+    omitting indices, bypass chain maps and induced rotation blocks.  A
+    hom row or a composition mask covers the whole component, so asking
+    for one enumerates it.
 
     Four unbounded caches stay outside: divset's `enumerate_objects` and
     `basic_sets` hold one entry per (n, e), `divset._basic` the one
@@ -190,6 +192,7 @@ class Component:
         self._move_ids: dict[BypassMove, int] = {}
         self._targets: list[Optional[int]] = []
         self._moves: dict[int, tuple[BypassMove, ...]] = {}  # object id -> its moves
+        self._move_table: dict[int, dict[int, int]] = {}  # object id -> chord code -> move id
         self._successors: dict[int, tuple[tuple[int, BypassMove], ...]] = {}
         self._out: dict[int, int] = {}  # i -> mask of j with Hom(i, j) != 0
         self._in: dict[int, int] = {}  # j -> mask of i with Hom(i, j) != 0
@@ -273,6 +276,24 @@ class Component:
                 found.append(self.move_list[self._add_move(mv) if m is None else m])
             moves = self._moves[i] = tuple(found)
         return moves
+
+    def move_at(self, i: int, code: int) -> Optional[int]:
+        """The id of the move on object i whose arc crosses the entry, exit
+        and target chords packed in `code` (bypass._chord_code), or None
+        when no nontrivial bypass crosses them.
+
+        Object i's table is filled from moves(i), which cover every valid
+        chord triple, on its first lookup: a bypass search enumerates
+        moves but never looks one up, so it keeps no table.
+        """
+        table = self._move_table.get(i)
+        if table is None:
+            from .bypass import _move_code
+
+            table = self._move_table[i] = {
+                _move_code(mv): self._move_ids[mv] for mv in self.moves(i)
+            }
+        return table.get(code)
 
     def successors(self, i: int) -> tuple[tuple[int, BypassMove], ...]:
         """(target id, move) for every nontrivial bypass on object i, in

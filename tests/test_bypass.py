@@ -6,20 +6,30 @@ import pytest
 from diskcontact import bypass
 from diskcontact.bypass import (
     BypassMove,
+    Square,
     attach,
     canonical_bypass,
     commuting_squares,
     enumerate_bypasses,
     m_invariant,
+    move_from_chords,
     obar,
     serre_rotate,
     triangle,
     validate_move,
     zero_region,
 )
-from diskcontact.divset import STAR, DividingSet, basic_of, enumerate_objects, validate
+from diskcontact.divset import (
+    STAR,
+    DividingSet,
+    basic_of,
+    chord_key,
+    enumerate_objects,
+    geometry,
+    validate,
+)
 from diskcontact.errors import ComponentMismatch, InvalidMove, IsBasic
-from diskcontact.homs import hom_nonzero
+from diskcontact.homs import component, hom_nonzero
 
 from conftest import pairs_up_to
 
@@ -213,3 +223,141 @@ def test_commuting_squares_mismatched_sources(ex_g1, ex_g4):
         commuting_squares(
             enumerate_bypasses(ex_g1)[0], enumerate_bypasses(ex_g4)[0]
         )
+
+
+# Reference commuting squares: every face passage and transport rebuilt
+# from the moves' chords, and a transported arc found by move_from_chords,
+# which raises InvalidMove where the library's move-table lookup misses.
+
+
+def _ref_triple(move):
+    return (
+        chord_key(move.entry_chord),
+        chord_key(move.exit_chord),
+        chord_key(move.target_chord),
+    )
+
+
+def _ref_segments(move):
+    geo = geometry(move.source)
+    c1, c2, c3 = _ref_triple(move)
+    return [(("pos", move.uv), c1, c2), (("neg", geo.neg_of_chord[c2]), c2, c3)]
+
+
+def _ref_face_slots(ds, face):
+    kind, which = face
+    if kind == "pos":
+        return [(chord_key(c), c[0] < c[1]) for c in ds.chords(which)]
+    size = 2 * ds.n + 2
+    return [(c, (2 * t + 2) % size == c[0]) for t, c in geometry(ds).neg_regions[which].walk]
+
+
+def _ref_no_crossing(a, b, order):
+    for face_a, in_a, out_a in _ref_segments(a):
+        for face_b, in_b, out_b in _ref_segments(b):
+            if face_a != face_b:
+                continue
+            slots = _ref_face_slots(a.source, face_a)
+            chords = [c for c, _ in slots]
+
+            def posn(c, of_a):
+                i = chords.index(c)
+                if c not in order:
+                    return (i, 0)
+                a_first = order[c] == slots[i][1]
+                return (i, 0 if a_first == of_a else 1)
+
+            cyc = sorted(
+                [
+                    (posn(in_a, True), "a"),
+                    (posn(out_a, True), "a"),
+                    (posn(in_b, False), "b"),
+                    (posn(out_b, False), "b"),
+                ]
+            )
+            if [t for _, t in cyc] in (["a", "b", "a", "b"], ["b", "a", "b", "a"]):
+                return False
+    return True
+
+
+def _ref_images(move, surg, order, move_is_a):
+    """The chords `move` crosses after attaching `surg`."""
+    e_from, e_to = surg.entry_chord
+    x_from, x_to = surg.exit_chord
+    t_from, t_to = surg.target_chord
+    wall = chord_key((e_to, x_from))
+    p = chord_key((x_to, t_from))
+    q = chord_key((e_from, t_to))
+    sc1, sc2, sc3 = _ref_triple(surg)
+    pieces = {sc1: (e_to, wall, q), sc2: (x_from, wall, p), sc3: (t_to, q, p)}
+
+    def image(c):
+        if c not in pieces:
+            return c
+        left_end, left_new, right_new = pieces[c]
+        on_left = (left_end == c[0]) == (order[c] == move_is_a)
+        return left_new if on_left else right_new
+
+    return tuple(image(c) for c in _ref_triple(move))
+
+
+def _ref_commuting_squares(a, b, lookups):
+    """commuting_squares by the reference path; appends (target, image
+    chords, transported move or None) to `lookups` for every transport."""
+    if a == b:
+        return []
+    comp = component(a.source.n, a.source.e)
+    shared = sorted(set(_ref_triple(a)) & set(_ref_triple(b)))
+    squares = []
+    for bits in itertools.product((True, False), repeat=len(shared)):
+        order = dict(zip(shared, bits))
+        if not _ref_no_crossing(a, b, order):
+            continue
+        sides = []
+        for move, surg, move_is_a in ((b, a, False), (a, b, True)):
+            target = attach(surg.source, surg)
+            chords = _ref_images(move, surg, order, move_is_a)
+            try:
+                moved = move_from_chords(target, *chords)
+            except InvalidMove:
+                sides.append(None)
+            else:
+                sides.append(comp.move_list[comp.move_id(moved)])
+            lookups.append((target, chords, sides[-1]))
+        sq = Square(*sides)
+        if sq not in squares:
+            squares.append(sq)
+    return squares
+
+
+ORACLE_COMPONENTS = pairs_up_to(5) + [(6, 3)]
+
+
+@pytest.mark.parametrize("n,e", ORACLE_COMPONENTS)
+def test_commuting_squares_match_the_move_from_chords_reference(n, e):
+    for g in enumerate_objects(n, e):
+        moves = enumerate_bypasses(g)
+        for a, b in itertools.product(moves, repeat=2):
+            got = commuting_squares(a, b)
+            want = _ref_commuting_squares(a, b, [])
+            assert got == want
+            for sq, ref in zip(got, want):
+                assert sq.after_a is ref.after_a and sq.after_b is ref.after_b
+
+
+@pytest.mark.parametrize("n,e", ORACLE_COMPONENTS)
+def test_move_table_misses_exactly_where_move_from_chords_raises(n, e):
+    comp = component(n, e)
+    size = 2 * n + 2
+    lookups = []
+    for g in enumerate_objects(n, e):
+        for a, b in itertools.combinations(enumerate_bypasses(g), 2):
+            _ref_commuting_squares(a, b, lookups)
+    # both outcomes occur wherever a pair has a disjoint configuration
+    assert {t is None for *_, t in lookups} == ({True, False} if lookups else set())
+    for target, chords, moved in lookups:
+        m = comp.move_at(comp.id(target), bypass._chord_code(size, *chords))
+        if moved is None:
+            assert m is None
+        else:
+            assert comp.move_list[m] is moved

@@ -20,16 +20,18 @@ from diskcontact.functor import (
     f_data,
     gamma_chain_map,
     gamma_of,
+    identity_indices,
     index_image,
     left_shuffling_vectors,
     lift_F,
     lift_morphism,
     negative_region_differential,
     omitting_indices,
+    shuffling_indices,
     shuffling_type,
     split_indices,
 )
-from diskcontact.homs import hom_nonzero
+from diskcontact.homs import hom_nonzero, tight_basic
 
 from conftest import pairs_up_to
 
@@ -223,6 +225,28 @@ def test_chain_map_law_and_degree_formula(n, e):
             f = chain_map_F(mv)  # construction asserts homogeneity
             assert kom.verify_chain_map(f)
             assert deg_formula(mv) == f.k == deg_F(mv)
+
+
+def _ref_chain_map_F(move):
+    """chain_map_F built one summand at a time through the public
+    index_image, with positions found by scanning the indices and each
+    entry checked by the greedy tightness criterion."""
+    src = f_data(move.source)
+    dst = f_data(attach(move.source, move))
+    entries = set()
+    for idx in identity_indices(move) + shuffling_indices(move):
+        i = src.position(idx)
+        j = dst.position(index_image(move, idx))
+        assert tight_basic(src.complex.summands[i].gamma, dst.complex.summands[j].gamma)
+        entries.add((i, j))
+    [k] = {dst.complex.summands[j].h - src.complex.summands[i].h for i, j in entries}
+    return kom.ChainMap(src.complex, dst.complex, k, frozenset(entries))
+
+
+def test_chain_map_F_matches_the_per_index_reference():
+    for g in enumerate_objects(6, 3):
+        for mv in enumerate_bypasses(g):
+            assert chain_map_F(mv) == _ref_chain_map_F(mv)
 
 
 @pytest.mark.parametrize("n,e", pairs_up_to(4))
