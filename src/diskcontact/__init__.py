@@ -10,9 +10,7 @@ identities, faithfulness) exhaustively at small n.
 
 from .divset import (
     STAR,
-    ZERO,
     DividingSet,
-    ZeroObject,
     basic_of,
     basic_sets,
     enumerate_objects,

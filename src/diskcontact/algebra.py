@@ -47,13 +47,6 @@ class AlgebraElement:
 
     terms: frozenset[BasisElem]
 
-    @staticmethod
-    def of(*elems: BasisElem) -> "AlgebraElement":
-        out: set[BasisElem] = set()
-        for t in elems:
-            out.symmetric_difference_update({t})
-        return AlgebraElement(frozenset(out))
-
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         return AlgebraElement(self.terms ^ other.terms)
 

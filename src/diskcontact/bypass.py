@@ -330,13 +330,11 @@ def zero_region(move: BypassMove) -> int:
         raise AssertionError("label 0 not found beyond any chord of uv")
     geo = geometry(ds)
     region = geo.neg_regions[geo.neg_of_chord[c2]]
-    _, left_chords = region.between(c2, c3)
-    for c in left_chords:
+    for c in region.between(c2, c3):
         owner = geo.comp_of_chord[c]
         if 0 in side_containing(ds.n, c, ds.label_at(owner, 0)):
             return 3
-    _, right_chords = region.between(c3, c2)
-    for c in right_chords:
+    for c in region.between(c3, c2):
         owner = geo.comp_of_chord[c]
         if 0 in side_containing(ds.n, c, ds.label_at(owner, 0)):
             return 5

@@ -45,29 +45,6 @@ STAR: NestVector = ()
 Matching = tuple  # involution on {0..2n+1} as a tuple of ints
 
 
-class ZeroObject:
-    """Marker for the (unique up to isomorphism) zero object of a component.
-
-    Dividing sets with closed components are not representable as
-    crossingless matchings; operations that would create one return this
-    marker instead.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "ZeroObject()"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ZeroObject)
-
-    def __hash__(self) -> int:
-        return hash("ZeroObject")
-
-
-ZERO = ZeroObject()
-
-
 @dataclass(frozen=True)
 class DividingSet:
     """A dividing set of the component with parameters (n, e).
@@ -129,12 +106,6 @@ class DividingSet:
         if not 0 <= i < len(ls):
             raise IndexOutOfRange(f"position {i} outside 0..{len(ls) - 1} of {v}")
         return ls[i]
-
-    def component_of_label(self, s: int) -> NestVector:
-        for v, ls in self.components:
-            if s in ls:
-                return v
-        raise KeyError(s)
 
     def chords(self, v: NestVector) -> tuple[tuple[int, int], ...]:
         """Oriented boundary chords of component v, in clockwise walk order."""
@@ -483,23 +454,16 @@ class NegRegion:
     def chords(self) -> tuple[tuple[int, int], ...]:
         return tuple(c for _, c in self.walk)
 
-    @property
-    def arcs(self) -> frozenset[int]:
-        return frozenset(t for t, _ in self.walk)
-
-    def between(self, c_in: tuple[int, int], c_out: tuple[int, int]) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-        """Arcs and chords strictly between c_in and c_out in walk order."""
+    def between(self, c_in: tuple[int, int], c_out: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+        """Chords strictly between c_in and c_out in walk order."""
         cs = self.chords
-        i, j = cs.index(c_in), cs.index(c_out)
-        k = len(self.walk)
-        arcs, chords = [], []
-        p = (i + 1) % k
+        k, j = len(cs), cs.index(c_out)
+        p = (cs.index(c_in) + 1) % k
+        out = []
         while p != j:
-            arcs.append(self.walk[p][0])
-            chords.append(self.walk[p][1])
+            out.append(cs[p])
             p = (p + 1) % k
-        arcs.append(self.walk[j][0])
-        return tuple(arcs), tuple(chords)
+        return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -377,47 +377,42 @@ def is_homotopy_equivalence(f: ChainMap) -> bool:
     return find_homotopy(identity_map(c), zero_map(c, c)) is not None
 
 
-def _hom_class_reps(src: Complex, dst: Complex) -> list[ChainMap]:
-    """One representative per degree-0 homotopy class (including zero).
-
-    Cocycle masks over the map basis double as vectors, so a basis of the
-    cohomology is extracted by reducing cocycles against the coboundary
-    span; all 2^dim class representatives are enumerated.
-    """
-    hc = HomComplex(src, dst)
-    b0 = hc.basis(0)
-    cocycles = gf2.nullspace(hc.columns(0))
-    span = gf2.Eliminator()
-    for c in hc.columns(-1):
-        span.add(c)
-    chosen: list[int] = []
-    for v in cocycles:
-        if span.reduce(v) is None:
-            chosen.append(v)
-            span.add(v)
-    if len(chosen) > 8:
-        raise ShapeMismatch("degree-0 hom space too large to enumerate")
-    reps = [0]
-    for v in chosen:
-        reps += [r ^ v for r in reps]
-    return [
-        ChainMap(
-            src, dst, 0, frozenset(b0[i] for i in range(len(b0)) if (r >> i) & 1)
-        )
-        for r in reps
-    ]
-
-
 def equivalent(a: Complex, b: Complex) -> bool:
-    """Homotopy equivalence, searched over degree-0 hom classes."""
-    if not a.summands and not b.summands:
-        return True
-    if euler_vector(a) != euler_vector(b):
+    """Homotopy equivalence, decided on minimal complexes by one linear solve.
+
+    Both sides are reduced by `simplify`.  Homs between distinct basic
+    projectives lie in the radical and End(P_g) is one-dimensional, so
+    homotopy-equivalent minimal complexes are isomorphic and have the
+    same multiset of (summand, degree).  When that multiset repeats no
+    pair, match each summand of a to the one of b with the same dividing
+    set and degree: a degree-0 chain map between the minimal complexes
+    is an isomorphism exactly when its entry is 1 on every matched pair
+    (Nakayama), and one gf2.solve finds a cocycle with those entries or
+    shows there is none.  Raises ShapeMismatch when the equal multisets
+    repeat a (summand, degree), where a matching is not determined, and
+    ComponentMismatch when a complex mixes components.
+    """
+    a, b = simplify(a), simplify(b)
+    comp_a, ids_a = _summand_ids(a)
+    comp_b, ids_b = _summand_ids(b)
+    if comp_a is not None and comp_b is not None and comp_a is not comp_b:
         return False
-    for f in _hom_class_reps(a, b):
-        if is_homotopy_equivalence(f):
-            return True
-    return False
+    keys_a = [(x, s.h) for x, s in zip(ids_a, a.summands)]
+    keys_b = [(x, s.h) for x, s in zip(ids_b, b.summands)]
+    if sorted(keys_a) != sorted(keys_b):
+        return False
+    match = {key: j for j, key in enumerate(keys_b)}
+    if len(match) < len(keys_b):
+        raise ShapeMismatch("minimal complex repeats a summand in one degree")
+    # unknowns: the degree-0 basis; equations: D = 0 on the degree-1
+    # basis (high bits) and entry 1 on matched pair i (bit i)
+    hc = HomComplex(a, b)
+    pos = hc.position(0)
+    m = len(keys_a)
+    cols = [c << m for c in hc.columns(0)]
+    for i, key in enumerate(keys_a):
+        cols[pos[(i, match[key])]] |= 1 << i
+    return gf2.solve(cols, (1 << m) - 1) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -393,26 +393,24 @@ def suite_triangles(n: int, e: int) -> SuiteReport:
         for g in objs:
             moves = bypass.enumerate_bypasses(g)
             for a, b in itertools.combinations(moves, 2):
-                for sq in bypass.commuting_squares(a, b):
-                    fa, fb = functor.chain_map_F(a), functor.chain_map_F(b)
+                squares = bypass.commuting_squares(a, b)
+                if not squares:
+                    continue
+                fa, fb = functor.chain_map_F(a), functor.chain_map_F(b)
+                ga, gb = bypass.attach(g, a), bypass.attach(g, b)
+                for sq in squares:
                     if sq.after_a and sq.after_b:
-                        if bypass.attach(bypass.attach(g, a), sq.after_a) != bypass.attach(
-                            bypass.attach(g, b), sq.after_b
-                        ):
+                        if bypass.attach(ga, sq.after_a) != bypass.attach(gb, sq.after_b):
                             return {"ds": ds_to_json(g)}
                         lhs = kom.compose(fa, functor.chain_map_F(sq.after_a))
                         rhs = kom.compose(fb, functor.chain_map_F(sq.after_b))
                         if kom.find_homotopy(lhs, rhs) is None:
                             return {"ds": ds_to_json(g), "kind": "square"}
-                    elif sq.after_a and bypass.attach(
-                        bypass.attach(g, a), sq.after_a
-                    ) == bypass.attach(g, b):
+                    elif sq.after_a and bypass.attach(ga, sq.after_a) == gb:
                         lhs = kom.compose(fa, functor.chain_map_F(sq.after_a))
                         if kom.find_homotopy(lhs, fb) is None:
                             return {"ds": ds_to_json(g), "kind": "rotation"}
-                    elif sq.after_b and bypass.attach(
-                        bypass.attach(g, b), sq.after_b
-                    ) == bypass.attach(g, a):
+                    elif sq.after_b and bypass.attach(gb, sq.after_b) == ga:
                         lhs = kom.compose(fb, functor.chain_map_F(sq.after_b))
                         if kom.find_homotopy(lhs, fa) is None:
                             return {"ds": ds_to_json(g), "kind": "rotation"}

@@ -305,9 +305,99 @@ def test_hom_complex_matches_map_basis_reference(n, e):
             count = _ref_class_count(a, b)
         except ShapeMismatch:
             with pytest.raises(ShapeMismatch):
-                kom._hom_class_reps(a, b)
+                _ref_hom_class_reps(a, b)
         else:
-            assert len(kom._hom_class_reps(a, b)) == count
+            assert len(_ref_hom_class_reps(a, b)) == count
+
+
+# --- equivalence on minimal complexes against the class search -----------------
+#
+# The reference is the earlier equivalent: reject on the Euler class, then
+# try each of the 2^dim degree-0 homotopy classes for a contractible cone.
+
+
+def _ref_hom_class_reps(src, dst):
+    """One representative per degree-0 homotopy class (including zero)."""
+    hc = HomComplex(src, dst)
+    b0 = hc.basis(0)
+    span = gf2.Eliminator()
+    for c in hc.columns(-1):
+        span.add(c)
+    chosen = []
+    for v in gf2.nullspace(hc.columns(0)):
+        if span.reduce(v) is None:
+            chosen.append(v)
+            span.add(v)
+    if len(chosen) > 8:
+        raise ShapeMismatch("degree-0 hom space too large to enumerate")
+    reps = [0]
+    for v in chosen:
+        reps += [r ^ v for r in reps]
+    return [ChainMap(src, dst, 0, frozenset(b0[i] for i in range(len(b0)) if r >> i & 1)) for r in reps]
+
+
+def _ref_equivalent(a, b):
+    if not a.summands and not b.summands:
+        return True
+    if euler_vector(a) != euler_vector(b):
+        return False
+    return any(is_homotopy_equivalence(f) for f in _ref_hom_class_reps(a, b))
+
+
+@pytest.mark.parametrize("n,e", pairs_up_to(5))
+def test_equivalent_matches_class_search_on_triangle_cones(n, e):
+    for g in enumerate_objects(n, e):
+        for mv in bypass.enumerate_bypasses(g):
+            tri = bypass.triangle(g, mv)
+            k = functor.chain_map_F(tri.b1).k + functor.chain_map_F(tri.b2).k
+            cn = cone(functor.lift_morphism(tri.b1, 0))
+            assert equivalent(cn, shift(functor.build_F(tri.g3), k))
+            for x in (tri.g1, tri.g2, tri.g3):
+                for s in (k - 1, k, k + 1):
+                    b = shift(functor.build_F(x), s)
+                    assert equivalent(cn, b) == _ref_equivalent(cn, b)
+
+
+@pytest.mark.parametrize("n,e", pairs_up_to(4))
+def test_equivalent_matches_class_search_on_image_pairs(n, e):
+    images = [functor.build_F(g) for g in enumerate_objects(n, e)]
+    for a, b in itertools.product(images, repeat=2):
+        for s in (-1, 0, 1):
+            assert equivalent(a, shift(b, s)) == _ref_equivalent(a, shift(b, s))
+
+
+def test_equivalent_matches_class_search_on_equal_summands():
+    # F(g) against F(g) with a square-zero part of its differential: the
+    # summands agree, so only the solve can tell these apart
+    inequivalent = 0
+    for n, e in pairs_up_to(4):
+        for g in enumerate_objects(n, e):
+            F = functor.build_F(g)
+            d = sorted(F.d)
+            for r in range(len(d) + 1):
+                for part in itertools.combinations(d, r):
+                    c = Complex(F.summands, frozenset(part))
+                    if verify_complex(c):
+                        want = _ref_equivalent(F, c)
+                        assert equivalent(F, c) == want
+                        inequivalent += not want
+    assert inequivalent
+
+
+def test_equivalent_rejects_a_repeated_minimal_summand():
+    repeated = 0
+    for g, g2 in itertools.product(enumerate_objects(4, 2), repeat=2):
+        f = functor.F_of_morphism(g, g2)
+        if f.k:
+            continue
+        c = cone(f)
+        s = simplify(c)
+        keys = [(t.gamma, t.h) for t in s.summands]
+        if len(set(keys)) < len(keys):
+            repeated += 1
+            with pytest.raises(ShapeMismatch):
+                equivalent(c, s)
+    assert repeated
 
 
 def test_map_basis_and_columns_match_reference(ex_g3, ex_g4):
@@ -417,6 +507,13 @@ def test_find_homotopy_rejects_components():
         find_homotopy(zero_map(mixed, a), zero_map(mixed, a))
     with pytest.raises(ComponentMismatch):
         is_nullhomotopic(zero_map(a, mixed))
+
+
+def test_equivalent_is_false_across_components():
+    # summand ids are per component, so equal (id, degree) multisets in two
+    # components must not be taken for equal summands
+    assert not equivalent(projective(P21), projective(P31))
+    assert not equivalent(projective(P21), EMPTY)
 
 
 def test_empty_complex_has_zero_hom():
