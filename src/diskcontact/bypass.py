@@ -234,9 +234,19 @@ class Triangle:
 
 
 def _next_move(comp: Component, m: int) -> int:
-    """The induced bypass on the target of move m, continuing the triangle."""
+    """The induced bypass on the target of move m, continuing the triangle.
+
+    Read from the target's move table when its moves are enumerated;
+    otherwise built from the chords, so a point query fills no table.
+    """
     wall, p, q = _surgery(comp.move_list[m])
-    return comp.move_id(move_from_chords(comp.objects[comp.target(m)], p, q, wall))
+    t = comp.target(m)
+    if t in comp._moves:
+        nxt = comp.move_at(t, _chord_code(2 * comp.n + 2, p, q, wall))
+        if nxt is None:
+            raise InvalidMove("no nontrivial bypass continues the triangle")
+        return nxt
+    return comp.move_id(move_from_chords(comp.objects[t], p, q, wall))
 
 
 def triangle(ds: DividingSet, move: BypassMove) -> Triangle:

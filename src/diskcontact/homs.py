@@ -112,7 +112,8 @@ def composition_nonzero(g: DividingSet, g2: DividingSet, g3: DividingSet) -> boo
     if g == g2 or g2 == g3:
         return True
     comp = component(g.n, g.e)
-    return bool(comp.reach(comp.id(g), comp.id(g3), True) >> comp.id(g2) & 1)
+    middle = comp.id(g2)
+    return middle in _bypass_search(comp, comp.id(g), comp.id(g3), True, stop=middle)
 
 
 def composition_nonzero_right(g: DividingSet, g2: DividingSet, g3: DividingSet) -> bool:
@@ -124,7 +125,8 @@ def composition_nonzero_right(g: DividingSet, g2: DividingSet, g3: DividingSet) 
     if g == g2 or g2 == g3:
         return True
     comp = component(g.n, g.e)
-    return bool(comp.reach(comp.id(g2), comp.id(g), False) >> comp.id(g3) & 1)
+    last = comp.id(g3)
+    return last in _bypass_search(comp, comp.id(g2), comp.id(g), False, stop=last)
 
 
 def bypass_chain(g: DividingSet, g2: DividingSet) -> Optional[tuple[BypassMove, ...]]:
@@ -165,11 +167,19 @@ class Component:
     `component` evicts it: the bypass moves of each object with their
     targets and, once a move is looked up by its chords, a table from
     their chord triples to their ids (`move_at`), hom rows, tight rows
-    (basic objects only), reachability and composition masks, and the
+    (basic objects only), per-anchor reachability closures, and the
     tables other modules fill: bypass triangles, F-images with their
     omitting indices, bypass chain maps and induced rotation blocks.  A
     hom row or a composition mask covers the whole component, so asking
     for one enumerates it.
+
+    The composition masks (`middles`, `middles_right`, `sources`,
+    `targets`) read one transitive closure of the bypass graph induced
+    on an anchor's kept stages, forward or reversed, built once per
+    anchor from the whole hom table.  The point calls
+    (`composition_nonzero`, `composition_nonzero_right`, `bypass_chain`)
+    run `_bypass_search` from one start, stop at their target and keep
+    nothing.
 
     Four unbounded caches stay outside: divset's `enumerate_objects` and
     `basic_sets` hold one entry per (n, e), `divset._basic` the one
@@ -197,11 +207,9 @@ class Component:
         self._out: dict[int, int] = {}  # i -> mask of j with Hom(i, j) != 0
         self._in: dict[int, int] = {}  # j -> mask of i with Hom(i, j) != 0
         self._tight: dict[int, int] = {}  # basic i -> mask of basic j, tight_basic(i, j)
-        self._reach: dict[tuple[int, int, bool], int] = {}
-        # transposed reachability, keyed by the fixed anchor or start
-        self._into_by_anchor: dict[int, dict[int, int]] = {}
-        self._into_by_start: dict[int, dict[int, int]] = {}
-        self._from_by_anchor: dict[int, dict[int, int]] = {}
+        # (anchor, into, reverse) -> kept stage -> mask of the kept stages
+        # it reaches (or that reach it, if reverse); see _closure
+        self._closures: dict[tuple[int, bool, bool], dict[int, int]] = {}
         # filled by bypass, functor and kom
         self.triangles: dict[int, Triangle] = {}  # by move id
         self.f_images: dict[int, FData] = {}  # by object id
@@ -321,6 +329,22 @@ class Component:
             col = self._in[j] = _mask(i for i in self.ids() if _curves(ms[i], m) == 1)
         return col
 
+    def hom_table(self) -> None:
+        """Fill every hom_out and hom_in row, counting the curves of each
+        ordered pair once for both."""
+        ids, ms = self.ids(), self.matchings
+        if len(self._out) == len(self._in) == len(ids):
+            return
+        cols: dict[int, list[int]] = {j: [] for j in ids}
+        for i in ids:
+            m = ms[i]
+            row = [j for j in ids if _curves(m, ms[j]) == 1]
+            self._out[i] = _mask(row)
+            for j in row:
+                cols[j].append(i)
+        for j, col in cols.items():
+            self._in[j] = _mask(col)
+
     def tight_row(self, i: int) -> int:
         """Mask of the basic j with tight_basic(i, j), for a basic object i.
 
@@ -349,39 +373,52 @@ class Component:
             return lambda x: _curves(ms[x], m) == 1
         return lambda x: _curves(m, ms[x]) == 1
 
-    def reach(self, start: int, anchor: int, into: bool) -> int:
-        """Mask of the stages the bypass search from start reaches."""
-        key = (start, anchor, into)
-        mask = self._reach.get(key)
-        if mask is None:
-            mask = self._reach[key] = _mask(_bypass_search(self, start, anchor, into))
-        return mask
+    def _closure(self, anchor: int, into: bool, reverse: bool = False) -> dict[int, int]:
+        """For each stage X the anchor's stage filter keeps: the mask of the
+        kept stages that X reaches by bypasses through kept stages (or,
+        if reverse, that reach X), X itself included."""
+        key = (anchor, into, reverse)
+        closure = self._closures.get(key)
+        if closure is None:
+            self.hom_table()
+            keep = self._stage_filter(anchor, into)
+            graph = {
+                x: [t for t, _ in self.successors(x) if keep(t)] for x in self.ids() if keep(x)
+            }
+            if reverse:
+                graph = _reverse(graph)
+            closure = self._closures[key] = _transitive_closure(graph)
+        return closure
 
-    def _row_reach(self, start: int, anchor: int, into: bool) -> int:
-        """reach, after filling the anchor's hom row the search reads."""
-        (self.hom_in if into else self.hom_out)(anchor)
-        return self.reach(start, anchor, into)
+    def _reached(self, start: int, anchor: int, into: bool) -> int:
+        """Mask of the stages that _bypass_search(self, start, anchor, into)
+        reaches: start, and the closures of its kept successors."""
+        closure = self._closure(anchor, into)
+        mask = closure.get(start)
+        if mask is None:
+            mask = 1 << start
+            for t, _ in self.successors(start):
+                mask |= closure.get(t, 0)
+        return mask
 
     # Composition masks.  Bit for bit they equal composition_nonzero
     # (middles, sources, targets) and composition_nonzero_right
-    # (middles_right) with one position left free.
+    # (middles_right) with one position left free.  With the left (or
+    # right) factor nonzero, the search starts inside its anchor's kept
+    # set, so one closure per anchor answers every start.
 
     def middles(self, i: int, k: int) -> int:
         """Mask of j with composition_nonzero(i, j, k)."""
         if not self.hom_out(i) >> k & 1:
             return 0
-        return self.hom_out(i) & self.hom_in(k) & (self._row_reach(i, k, True) | 1 << k)
+        return self.hom_out(i) & self.hom_in(k) & (self._reached(i, k, True) | 1 << k)
 
     def middles_right(self, i: int, k: int) -> int:
         """Mask of j with composition_nonzero_right(i, j, k)."""
         if not self.hom_out(i) >> k & 1:
             return 0
-        cols = _cached(
-            self._from_by_anchor,
-            i,
-            lambda: _transpose((j, self._row_reach(j, i, False)) for j in _bits(self.hom_out(i))),
-        )
-        return self.hom_out(i) & self.hom_in(k) & (cols.get(k, 0) | 1 << i | 1 << k)
+        reaching = self._closure(i, False, reverse=True).get(k, 0)
+        return self.hom_out(i) & self.hom_in(k) & (reaching | 1 << i | 1 << k)
 
     def sources(self, j: int, k: int) -> int:
         """Mask of i with composition_nonzero(i, j, k)."""
@@ -389,12 +426,8 @@ class Component:
             return 0
         if j == k:
             return self.hom_in(j)
-        cols = _cached(
-            self._into_by_anchor,
-            k,
-            lambda: _transpose((i, self._row_reach(i, k, True)) for i in _bits(self.hom_in(k))),
-        )
-        return self.hom_in(j) & self.hom_in(k) & (cols.get(j, 0) | 1 << j)
+        reaching = self._closure(k, True, reverse=True).get(j, 0)
+        return self.hom_in(j) & self.hom_in(k) & (reaching | 1 << j)
 
     def targets(self, i: int, j: int) -> int:
         """Mask of k with composition_nonzero(i, j, k)."""
@@ -402,12 +435,11 @@ class Component:
             return 0
         if i == j:
             return self.hom_out(i)
-        cols = _cached(
-            self._into_by_start,
-            i,
-            lambda: _transpose((k, self._row_reach(i, k, True)) for k in _bits(self.hom_out(i))),
-        )
-        return self.hom_out(i) & self.hom_out(j) & (cols.get(j, 0) | 1 << j)
+        both = self.hom_out(i) & self.hom_out(j)
+        if any(t == j for t, _ in self.successors(i)):
+            return both  # every anchor that keeps j keeps the move i -> j
+        reached = _mask(k for k in _bits(both) if self._reached(i, k, True) >> j & 1)
+        return both & (reached | 1 << j)
 
 
 def _bypass_search(
@@ -452,19 +484,57 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _transpose(rows: Iterable[tuple[int, int]]) -> dict[int, int]:
-    """Columns of a 0/1 matrix given as (row id, row mask) pairs: bit i of
-    column j is bit j of row i.  Empty columns are left out."""
-    cols: dict[int, int] = {}
-    for i, row in rows:
-        bit = 1 << i
-        for j in _bits(row):
-            cols[j] = cols.get(j, 0) | bit
-    return cols
+def _reverse(graph: dict[int, list[int]]) -> dict[int, list[int]]:
+    """The graph with every edge turned around."""
+    back: dict[int, list[int]] = {x: [] for x in graph}
+    for x, succ in graph.items():
+        for t in succ:
+            back[t].append(x)
+    return back
 
 
-def _cached(store: dict, key, fill):
-    value = store.get(key)
-    if value is None:
-        value = store[key] = fill()
-    return value
+def _transitive_closure(graph: dict[int, list[int]]) -> dict[int, int]:
+    """Each node's mask of the nodes it reaches, itself included; every
+    edge must end at a node of the graph.
+
+    Tarjan's strongly connected components (SIAM J. Comput. 1972) are
+    finished sinks first, so a component's mask is its own nodes OR'd
+    with the masks of the finished components its edges leave to
+    (Nuutila 1995); the nodes of one component share one mask.
+    """
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    closure: dict[int, int] = {}
+    for root in graph:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(graph[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(graph[w])))
+                    break
+                if w not in closure and index[w] < low[v]:  # w is on the stack
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    members = [stack.pop()]
+                    while members[-1] != v:
+                        members.append(stack.pop())
+                    mask = _mask(members)
+                    for x in members:
+                        for t in graph[x]:
+                            mask |= closure.get(t, 0)
+                    for x in members:
+                        closure[x] = mask
+    return closure

@@ -216,6 +216,7 @@ def suite_homs(n: int, e: int) -> SuiteReport:
         return next(i for i in ids if mask >> i & 1)
 
     def serre_iff():
+        comp.hom_table()
         for i in ids:
             rotated = comp.id(bypass.serre_rotate(comp.objects[i]))
             bad = comp.hom_out(i) ^ comp.hom_in(rotated)
@@ -390,6 +391,23 @@ def suite_triangles(n: int, e: int) -> SuiteReport:
                     return {"ds": ds_to_json(g), "move": _move_json(mv)}
 
     def far_commutativity():
+        # a transported move's target and chain map are looked up once per
+        # move, not once per square it belongs to
+        targets: dict[bypass.BypassMove, DividingSet] = {}
+        maps: dict[bypass.BypassMove, kom.ChainMap] = {}
+
+        def target(g, mv):
+            h = targets.get(mv)
+            if h is None:
+                h = targets[mv] = bypass.attach(g, mv)
+            return h
+
+        def chain_map(mv):
+            f = maps.get(mv)
+            if f is None:
+                f = maps[mv] = functor.chain_map_F(mv)
+            return f
+
         for g in objs:
             moves = bypass.enumerate_bypasses(g)
             for a, b in itertools.combinations(moves, 2):
@@ -400,18 +418,18 @@ def suite_triangles(n: int, e: int) -> SuiteReport:
                 ga, gb = bypass.attach(g, a), bypass.attach(g, b)
                 for sq in squares:
                     if sq.after_a and sq.after_b:
-                        if bypass.attach(ga, sq.after_a) != bypass.attach(gb, sq.after_b):
+                        if target(ga, sq.after_a) != target(gb, sq.after_b):
                             return {"ds": ds_to_json(g)}
-                        lhs = kom.compose(fa, functor.chain_map_F(sq.after_a))
-                        rhs = kom.compose(fb, functor.chain_map_F(sq.after_b))
+                        lhs = kom.compose(fa, chain_map(sq.after_a))
+                        rhs = kom.compose(fb, chain_map(sq.after_b))
                         if kom.find_homotopy(lhs, rhs) is None:
                             return {"ds": ds_to_json(g), "kind": "square"}
-                    elif sq.after_a and bypass.attach(ga, sq.after_a) == gb:
-                        lhs = kom.compose(fa, functor.chain_map_F(sq.after_a))
+                    elif sq.after_a and target(ga, sq.after_a) == gb:
+                        lhs = kom.compose(fa, chain_map(sq.after_a))
                         if kom.find_homotopy(lhs, fb) is None:
                             return {"ds": ds_to_json(g), "kind": "rotation"}
-                    elif sq.after_b and bypass.attach(gb, sq.after_b) == ga:
-                        lhs = kom.compose(fb, functor.chain_map_F(sq.after_b))
+                    elif sq.after_b and target(gb, sq.after_b) == ga:
+                        lhs = kom.compose(fb, chain_map(sq.after_b))
                         if kom.find_homotopy(lhs, fa) is None:
                             return {"ds": ds_to_json(g), "kind": "rotation"}
 

@@ -3,7 +3,7 @@ from collections import deque
 
 import pytest
 
-from diskcontact import bypass
+from diskcontact import bypass, homs
 from diskcontact.bypass import (
     BypassMove,
     Square,
@@ -361,3 +361,30 @@ def test_move_table_misses_exactly_where_move_from_chords_raises(n, e):
             assert m is None
         else:
             assert comp.move_list[m] is moved
+
+
+@pytest.mark.parametrize("n,e", pairs_up_to(5))
+def test_next_move_reads_the_move_table_like_move_from_chords(n, e):
+    comp = component(n, e)
+    for i in comp.ids():
+        for mv in comp.moves(i):
+            m = comp.move_id(mv)
+            t = comp.target(m)
+            wall, p, q = bypass._surgery(mv)
+            want = comp.move_id(move_from_chords(comp.objects[t], p, q, wall))
+            comp.moves(t)
+            assert bypass._next_move(comp, m) == want
+
+
+def test_point_triangle_fills_no_move_table():
+    homs.component.cache_clear()
+    try:
+        g = DividingSet.make(
+            8, 4, {STAR: (0, 1, 7), (1,): (2, 6), (1, 1): (3, 5), (1, 1, 1): (4,), (2,): (8,)}
+        )
+        tri = triangle(g, canonical_bypass(g))
+        comp = component(8, 4)
+        assert attach(tri.g3, tri.b3) is comp.intern(g)
+        assert not comp._moves and not comp._move_table
+    finally:
+        homs.component.cache_clear()

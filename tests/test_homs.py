@@ -2,6 +2,7 @@ import gc
 import importlib
 import itertools
 import pkgutil
+import random
 
 import pytest
 
@@ -189,6 +190,21 @@ def test_component_rows_match_curve_counts(n, e):
             assert bool(into >> j & 1) == (rounded_components(g2, g) == 1)
 
 
+@pytest.mark.parametrize("n,e", pairs_up_to(5))
+def test_hom_table_counts_each_pair_once_for_both_rows(n, e, monkeypatch):
+    rows, table = homs.Component(n, e), homs.Component(n, e)
+    ids = rows.ids()
+    curves = homs._curves
+    counted = []
+    monkeypatch.setattr(homs, "_curves", lambda m, m2: counted.append(1) or curves(m, m2))
+    table.hom_table()
+    assert len(counted) == len(ids) ** 2
+    assert table.ids() == ids
+    for i in ids:
+        assert table.hom_out(i) == rows.hom_out(i) and table.hom_in(i) == rows.hom_in(i)
+    assert len(counted) == 3 * len(ids) ** 2  # the rows were counted one by one
+
+
 def test_hom_nonzero_reads_a_filled_row(monkeypatch):
     def refuse(m, m2):
         raise AssertionError("curves counted for a filled row")
@@ -222,7 +238,46 @@ def test_component_interns_the_shared_basic_instance():
         homs.component.cache_clear()
 
 
-@pytest.mark.parametrize("n,e", pairs_up_to(4))
+@pytest.mark.parametrize("n,e", pairs_up_to(5) + [(6, 2)])
+def test_closures_match_the_bypass_search(n, e):
+    # reach from any start, kept or not, and the reversed closure on the
+    # kept stages, against one breadth-first search per (start, anchor)
+    comp = component(n, e)
+    ids = comp.ids()
+    for anchor, into in itertools.product(ids, (True, False)):
+        searched = {s: homs._mask(homs._bypass_search(comp, s, anchor, into)) for s in ids}
+        for s in ids:
+            assert comp._reached(s, anchor, into) == searched[s]
+        kept = comp._closure(anchor, into)
+        reaching = comp._closure(anchor, into, reverse=True)
+        assert reaching.keys() == kept.keys()
+        for x in kept:
+            assert reaching[x] == homs._mask(s for s in kept if searched[s] >> x & 1)
+
+
+def test_transitive_closure_on_cyclic_graphs():
+    # no bypass graph induced on an anchor's stages has had a cycle, so
+    # the strongly connected components are checked on random digraphs
+    rng = random.Random(0)
+    for _ in range(300):
+        nodes = rng.sample(range(40), rng.randint(1, 12))
+        graph = {x: [t for t in nodes if rng.random() < 0.2] for x in nodes}
+        want = {}
+        for x in nodes:
+            seen, todo = {x}, [x]
+            while todo:
+                for t in graph[todo.pop()]:
+                    if t not in seen:
+                        seen.add(t)
+                        todo.append(t)
+            want[x] = homs._mask(seen)
+        assert homs._transitive_closure(graph) == want
+        assert homs._transitive_closure(homs._reverse(graph)) == {
+            x: homs._mask(s for s in nodes if want[s] >> x & 1) for x in nodes
+        }
+
+
+@pytest.mark.parametrize("n,e", pairs_up_to(5))
 def test_composition_masks_match_searches(n, e):
     comp = component(n, e)
     objs = enumerate_objects(n, e)
