@@ -535,7 +535,7 @@ def F_of_morphism(g: DividingSet, g2: DividingSet) -> ChainMap:
         return zero_map(build_F(g), build_F(g2))
     chain = bypass_chain(g, g2)
     assert chain is not None, "tight morphism with no bypass decomposition"
-    f = identity_map(build_F(g))
-    for mv in chain:
+    f = chain_map_F(chain[0])
+    for mv in chain[1:]:
         f = compose(f, chain_map_F(mv))
     return f

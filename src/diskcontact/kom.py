@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import accumulate
+from typing import Iterable, Iterator, Optional
 
 from . import gf2
 from .divset import DividingSet, ds_from_json, ds_to_json
@@ -413,6 +414,270 @@ def equivalent(a: Complex, b: Complex) -> bool:
     for i, key in enumerate(keys_a):
         cols[pos[(i, match[key])]] |= 1 << i
     return gf2.solve(cols, (1 << m) - 1) is not None
+
+
+# ---------------------------------------------------------------------------
+# per-source column retracts
+#
+# Hom(C, D) is a double complex: its column j is Hom(C, P_b) for the
+# summand (b, h_j) of D, with the differential f -> f.d_C, and the
+# postcomposition delta with d_D takes column j to column j' for each
+# j -> j'.  Each column is reduced once per source to a deformation
+# retract onto its cohomology (Bar-Natan, arXiv:math/0606318), and the
+# homological perturbation lemma (Crainic, arXiv:math/0403266) moves
+# delta onto the sum of the cohomologies, the E1 page.  A vector of
+# Hom(C, D) is kept as one mask over C's summand indices per column.
+
+
+def _bits(m: int) -> Iterator[int]:
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _apply(table: list[int], m: int) -> int:
+    """The linear map whose value on bit i is table[i], applied to m."""
+    out = 0
+    while m:
+        low = m & -m
+        out ^= table[low.bit_length() - 1]
+        m ^= low
+    return out
+
+
+@dataclass(frozen=True)
+class _Column:
+    """A deformation retract (iota, pi, eta) of one column onto its cohomology.
+
+    The column's basis is the mask `tight` of C's summands tight to b.
+    `iota[t]` is the t-th cohomology generator as a mask over the column;
+    `pi[i]` (a mask over the generators) and `eta[i]` (a mask over the
+    column) are the images of summand i.  With d the column differential:
+    pi.iota = 1, iota.pi = 1 + d.eta + eta.d, and eta.iota, pi.eta and
+    eta.eta vanish.
+    """
+
+    tight: int
+    iota: tuple[int, ...]
+    pi: tuple[int, ...]
+    eta: tuple[int, ...]
+
+
+def _retract(tight: int, src_in: list[int]) -> _Column:
+    """The column on the summands in `tight`, whose differential takes i to
+    the tight i' with i' -> i in d_C (`src_in[i]`), reduced by Gaussian
+    elimination.
+
+    Elimination of the differential splits the column as W + B + H: W
+    spanned by the eliminated vectors w, B by their images d(w), and H
+    by cycles independent modulo B.  eta inverts d from B onto W and pi
+    reads the H coordinate, so no dimension of H is assumed.
+    """
+    size = len(src_in)
+    rows: dict[int, tuple[int, int]] = {}  # pivot of d(w) -> (d(w), w)
+    cycles = []
+    for i in _bits(tight):
+        v, w = src_in[i] & tight, 1 << i
+        while v:
+            row = rows.get(v.bit_length() - 1)
+            if row is None:
+                rows[v.bit_length() - 1] = (v, w)
+                break
+            v ^= row[0]
+            w ^= row[1]
+        else:
+            cycles.append(w)
+    ws = [w for _, w in rows.values()]
+    bs = [v for v, _ in rows.values()]
+    span = gf2.Eliminator()
+    for v in bs:
+        span.add(v)
+    gens = []
+    for z in cycles:
+        if span.reduce(z) is None:
+            span.add(z)
+            gens.append(z)
+    # coordinates in the basis ws + bs + gens, read off one elimination
+    coords = gf2.Eliminator()
+    for u in ws + bs + gens:
+        coords.add(u)
+    r = len(rows)
+    pi, eta = [0] * size, [0] * size
+    for i in _bits(tight):
+        c = coords.reduce(1 << i)
+        pi[i] = c >> 2 * r
+        eta[i] = _apply(ws, c >> r & ((1 << r) - 1))
+    return _Column(tight, tuple(gens), tuple(pi), tuple(eta))
+
+
+_EMPTY_COLUMN = _Column(0, (), (), ())
+
+
+class ColumnRetracts:
+    """The columns Hom(src, P_b) of one source, each reduced on first use.
+
+    Built by `column_retracts` and read by `hom_total_from` and
+    `is_nullhomotopic_from`.  Valid while the component that issued
+    src's summand ids lives.
+    """
+
+    def __init__(self, src: Complex):
+        self.src = src
+        self.comp, ids = _summand_ids(src)
+        # dst ids issued under this token are ids in self.comp
+        self._token = self.comp.token if self.comp is not None else None
+        self._rows = [self.comp.tight_row(x) for x in ids] if ids else []
+        self.degrees = src.degrees()
+        self._src_in = [0] * src.size
+        for i, j in src.d:
+            self._src_in[j] |= 1 << i
+        self._columns: dict[int, _Column] = {}
+
+    def columns(self, dst: Complex) -> list[_Column]:
+        """The reduced column of each summand of dst, in dst's order."""
+        kept = dst.__dict__.get("_ids")
+        if kept is not None and kept[0] is self._token:
+            ids = kept[1]
+        else:
+            comp, ids = _summand_ids(dst)
+            if self.comp is None or comp is None:
+                return [_EMPTY_COLUMN] * dst.size
+            if comp is not self.comp:
+                raise ComponentMismatch(
+                    f"({self.comp.n},{self.comp.e}) vs ({comp.n},{comp.e}), "
+                    "or a component rebuilt since the retracts were"
+                )
+        cache = self._columns
+        try:
+            return [cache[b] for b in ids]
+        except KeyError:
+            for b in ids:
+                if b not in cache:
+                    tight = sum(1 << i for i, row in enumerate(self._rows) if row >> b & 1)
+                    cache[b] = _retract(tight, self._src_in) if tight else _EMPTY_COLUMN
+            return [cache[b] for b in ids]
+
+
+def column_retracts(src: Complex) -> ColumnRetracts:
+    """Per-source data that answers hom_total and is_nullhomotopic for
+    maps out of src, one destination at a time.
+
+    A module-level entry point, as the per-pair ones are, because the
+    benchmark's per-layer tracer times module-level functions only.
+    """
+    return ColumnRetracts(src)
+
+
+def _upward(c: Complex) -> tuple[dict[int, list[int]], list[int]]:
+    """The targets of each summand in d_c, and the summands by ascending
+    degree; kept on c once computed."""
+    kept = c.__dict__.get("_upward")
+    if kept is None:
+        order = sorted(range(c.size), key=lambda j: c.summands[j].h)
+        kept = c.__dict__["_upward"] = (_arrows(c.d, False), order)
+    return kept
+
+
+def _post(cols: list[_Column], dst_out: dict[int, list[int]], vec: dict[int, int]) -> dict[int, int]:
+    """delta: postcomposition with d_dst; an entry survives iff it is tight."""
+    out: dict[int, int] = {}
+    for j, m in vec.items():
+        for j2 in dst_out.get(j, ()):
+            m2 = m & cols[j2].tight
+            if m2:
+                out[j2] = out.get(j2, 0) ^ m2
+    return out
+
+
+def _project(cols: list[_Column], offsets: list[int], vec: dict[int, int]) -> int:
+    """pi on a vector, as a mask over the E1 page."""
+    out = 0
+    for j, m in vec.items():
+        out ^= _apply(cols[j].pi, m) << offsets[j]
+    return out
+
+
+def _transfer(
+    cols: list[_Column], dst_out: dict[int, list[int]], offsets: list[int], vec: dict[int, int]
+) -> int:
+    """pi.delta.sum_n (eta.delta)^n on vec, as a mask over the E1 page; the
+    sum is finite since delta climbs dst's differential."""
+    out = 0
+    while vec:
+        vec = _post(cols, dst_out, vec)
+        out ^= _project(cols, offsets, vec)
+        vec = {j: e for j, m in vec.items() if (e := _apply(cols[j].eta, m))}
+    return out
+
+
+def _page(cols: list[_Column]) -> list[int]:
+    """Offset of each column's cohomology in the E1 page, then its dimension."""
+    return list(accumulate([len(col.iota) for col in cols], initial=0))
+
+
+def _transferred(cols: list[_Column], dst: Complex, offsets: list[int]) -> Iterator[int]:
+    """d' = pi.delta.sum_n (eta.delta)^n.iota on each E1 generator, lowest
+    dst degree first: d' raises the degree, so the generators it does not
+    kill come early."""
+    dst_out, ascending = _upward(dst)
+    for j in ascending:
+        for g in cols[j].iota:
+            yield _transfer(cols, dst_out, offsets, {j: g})
+
+
+def hom_total_from(retracts: ColumnRetracts, dst: Complex) -> int:
+    """hom_total(retracts.src, dst): dim E1 - 2 rank d'.
+
+    Raises ComponentMismatch unless every summand of src and dst lies in
+    one component.
+    """
+    cols = retracts.columns(dst)
+    dim = sum([len(col.iota) for col in cols])
+    if dim < 2:
+        return dim
+    span = gf2.Eliminator()
+    for v in _transferred(cols, dst, _page(cols)):
+        span.add(v)
+        if 2 * span.rank == dim:
+            break  # d'^2 = 0 bounds the rank of d' by dim / 2
+    return dim - 2 * span.rank
+
+
+def is_nullhomotopic_from(retracts: ColumnRetracts, f: ChainMap) -> bool:
+    """is_nullhomotopic(f) for a map out of retracts.src.
+
+    f must be a cocycle of the Hom-complex: otherwise, as for
+    find_homotopy, it is not nullhomotopic.  A cocycle is nullhomotopic
+    iff pi'(f) = pi.f + pi.delta.sum_n (eta.delta)^n.eta.f lies in the
+    image of d'.
+    """
+    if f.src is not retracts.src and f.src != retracts.src:
+        raise ShapeMismatch("map does not start at the retracts' source")
+    dst = f.dst
+    cols = retracts.columns(dst)
+    src_h, dst_s = retracts.degrees, dst.summands
+    vec: dict[int, int] = {}
+    for i, j in f.entries:
+        valid = 0 <= i < len(src_h) and 0 <= j < len(cols) and cols[j].tight >> i & 1
+        if not valid or dst_s[j].h - src_h[i] != f.k:
+            return False  # not a map-space vector of degree f.k
+        vec[j] = vec.get(j, 0) | 1 << i
+    dst_out, _ = _upward(dst)
+    image = _post(cols, dst_out, vec)
+    for j, m in vec.items():
+        # the column differential, f -> f.d_src
+        image[j] = image.get(j, 0) ^ _apply(retracts._src_in, m) & cols[j].tight
+    if any(image.values()):
+        return False  # not a cocycle
+    offsets = _page(cols)
+    eta_f = {j: e for j, m in vec.items() if (e := _apply(cols[j].eta, m))}
+    target = _project(cols, offsets, vec) ^ _transfer(cols, dst_out, offsets, eta_f)
+    if not target:
+        return True
+    if offsets[-1] < 2:
+        return False  # d' = 0
+    return gf2.solve(list(_transferred(cols, dst, offsets)), target) is not None
 
 
 # ---------------------------------------------------------------------------

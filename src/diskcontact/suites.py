@@ -505,7 +505,7 @@ def suite_faithful(n: int, e: int) -> SuiteReport:
     def ends():
         for g in objs:
             F = functor.build_F(g)
-            if kom.hom_total(F, F) != 1 or kom.hom_dim(F, F, 0) != 1:
+            if kom.hom_by_degree(F, F) != {0: 1}:
                 return {"ds": ds_to_json(g)}
 
     def reverse_bypass_zero():
@@ -516,17 +516,23 @@ def suite_faithful(n: int, e: int) -> SuiteReport:
                     return {"ds": ds_to_json(g), "move": _move_json(mv)}
 
     def full_table():
-        # the filled hom_in rows also feed the stage filter of bypass_chain
+        # the filled hom_in rows also feed the stage filter of bypass_chain;
+        # one source's column retracts serve its whole row
         comp = homs.component(n, e)
-        for (g, i), (g2, j) in itertools.product(zip(objs, comp.ids()), repeat=2):
-            want = comp.hom_in(j) >> i & 1
-            got = kom.hom_total(functor.build_F(g), functor.build_F(g2))
-            if got != want:
-                return {"src": ds_to_json(g), "dst": ds_to_json(g2), "got": got}
-            if want:
-                f = functor.F_of_morphism(g, g2)
-                if kom.is_nullhomotopic(f):
-                    return {"src": ds_to_json(g), "dst": ds_to_json(g2), "null": True}
+        ids = comp.ids()
+        images = [functor.build_F(g) for g in objs]
+        row = list(zip(objs, map(comp.hom_in, ids), images))
+        for g, i, F in zip(objs, ids, images):
+            retracts = kom.column_retracts(F)
+            for g2, into, F2 in row:
+                want = into >> i & 1
+                got = kom.hom_total_from(retracts, F2)
+                if got != want:
+                    return {"src": ds_to_json(g), "dst": ds_to_json(g2), "got": got}
+                if want:
+                    f = functor.F_of_morphism(g, g2)
+                    if kom.is_nullhomotopic_from(retracts, f):
+                        return {"src": ds_to_json(g), "dst": ds_to_json(g2), "null": True}
 
     r.run("faithful.endomorphisms_one_dimensional", ends)
     r.run("faithful.reverse_bypass_hom_vanishes", reverse_bypass_zero)
