@@ -29,6 +29,7 @@ from .divset import (
     ds_from_json,
     ds_to_json,
     enumerate_objects,
+    int_from_json,
     to_matching,
     validate,
     vector_from_json,
@@ -44,9 +45,8 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-# what malformed JSON values raise while being parsed; int() of a JSON
-# number too large for a float (read as inf) raises OverflowError
-_UNPARSEABLE = (ValueError, KeyError, TypeError, OverflowError)
+# what malformed JSON values raise while being parsed
+_UNPARSEABLE = (ValueError, KeyError, TypeError)
 
 
 def _check_ds(ds: DividingSet) -> None:
@@ -89,9 +89,9 @@ def _load_move(ds: DividingSet, text: str) -> bypass.BypassMove:
             ds,
             vector_from_json(obj["uv"]),
             vector_from_json(obj["ov"]),
-            int(obj["x"]),
-            int(obj["y"]),
-            int(obj["z"]),
+            int_from_json(obj["x"]),
+            int_from_json(obj["y"]),
+            int_from_json(obj["z"]),
         )
     except _UNPARSEABLE as exc:
         print(f"error: unparseable bypass move: {exc}", file=sys.stderr)

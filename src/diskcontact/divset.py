@@ -552,8 +552,23 @@ def vector_to_json(v: NestVector):
     return "*" if v == STAR else list(v)
 
 
+def int_from_json(x) -> int:
+    """x when it is a JSON integer; a float, a string or a boolean (which
+    Python counts as an int) raises TypeError instead of being coerced."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _ints_from_json(xs) -> tuple[int, ...]:
+    """xs as a tuple when it is a JSON list of integers (see int_from_json)."""
+    if not isinstance(xs, list) or any(type(x) is not int for x in xs):
+        raise TypeError(f"expected a list of integers, got {xs!r}")
+    return tuple(xs)
+
+
 def vector_from_json(x) -> NestVector:
-    return STAR if x == "*" else tuple(int(t) for t in x)
+    return STAR if x == "*" else _ints_from_json(x)
 
 
 def ds_to_json(ds: DividingSet) -> dict:
@@ -567,8 +582,12 @@ def ds_to_json(ds: DividingSet) -> dict:
 
 
 def ds_from_json(obj: Mapping) -> DividingSet:
-    comps = {
-        vector_from_json(c["v"]): tuple(int(s) for s in c["labels"])
-        for c in obj["components"]
-    }
-    return DividingSet.make(int(obj["n"]), int(obj["e"]), comps)
+    """The dividing set of a JSON object; raises ValueError or TypeError on
+    a value that is not of its JSON type or a vector listed twice."""
+    comps: dict[NestVector, tuple[int, ...]] = {}
+    for c in obj["components"]:
+        v = vector_from_json(c["v"])
+        if v in comps:
+            raise ValueError(f"component {vector_to_json(v)} listed twice")
+        comps[v] = _ints_from_json(c["labels"])
+    return DividingSet.make(int_from_json(obj["n"]), int_from_json(obj["e"]), comps)

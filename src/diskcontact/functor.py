@@ -15,6 +15,10 @@ label 0 sits relative to the arc.
 
 F-images with their omitting indices and bypass chain maps are kept by
 the component index (homs.Component), keyed by object id and move id.
+They are built on positions: an omitting index is a tuple of positions,
+one per non-based vector, and its place among the sorted indices is that
+tuple read as a mixed-radix number.  The per-index functions below
+(coh_degree, differential_data, index_image) are the slow references.
 
 Library entry points here trust their DividingSet arguments: they do not
 run divset.validate, and an invalid dividing set gives an undefined
@@ -37,7 +41,6 @@ from .divset import (
     chord_key,
     geometry,
     nesting_sets,
-    parent,
 )
 from .errors import IndexNotApplicable, InvalidMove
 # tight_basic stays bound here for bench/test_bench.py, which asserts the tracer rebinds it
@@ -82,14 +85,12 @@ def omitting_indices(ds: DividingSet) -> tuple[OmittingIndex, ...]:
     return f_data(ds).indices
 
 
-def _omitting_indices(ds: DividingSet) -> tuple[OmittingIndex, ...]:
-    tpv = ds.tpv
-    ranges = [range(ds.l(v) + 1) for v in tpv]
-    out = [
-        OmittingIndex.make(dict(zip(tpv, choice)))
-        for choice in itertools.product(*ranges)
-    ]
-    return tuple(sorted(out, key=lambda i: i.entries))
+def _index_tuples(labels: list[tuple[int, ...]]):
+    """The omitting indices as tuples of positions, given the labels of
+    each vector of tpv, in sorted order: a mixed-radix count over the
+    radices l(v) + 1, the last vector fastest, so a tuple's rank is its
+    index's position."""
+    return itertools.product(*(range(len(ls)) for ls in labels))
 
 
 def omitted_labels(ds: DividingSet, idx: OmittingIndex) -> frozenset[int]:
@@ -162,7 +163,17 @@ class FData:
     indices: tuple[OmittingIndex, ...]
 
     def position(self, idx: OmittingIndex) -> int:
-        return self.indices.index(idx)
+        """The place of idx in indices, read as a mixed-radix number."""
+        tpv = self.ds.tpv
+        if len(idx.entries) != len(tpv):
+            raise ValueError(f"{idx} is not an omitting index of {self.ds}")
+        p = 0
+        for (v, i), w in zip(idx.entries, tpv):
+            r = len(self.ds.labels(w))
+            if v != w or not 0 <= i < r:
+                raise ValueError(f"{idx} is not an omitting index of {self.ds}")
+            p = p * r + i
+        return p
 
 
 def f_data(ds: DividingSet) -> FData:
@@ -176,21 +187,47 @@ def f_data(ds: DividingSet) -> FData:
 
 
 def _f_data(ds: DividingSet) -> FData:
+    """coh_degree, gamma_of and differential_data on every omitting index,
+    read from one table per non-based vector v and position i: the height
+    term i + sum of l(w) over NV(v, i), and the position change of the
+    differential move at (v, i) with the vectors of DNV(v, i) it needs at 0."""
     comp = component(ds.n, ds.e)
-    indices = _omitting_indices(ds)
-    pos = {idx: t for t, idx in enumerate(indices)}
-    summands = tuple(
-        ProjSummand(gamma_of(ds, idx), -coh_degree(ds, idx)) for idx in indices
-    )
+    tpv = ds.tpv
+    col = {v: c for c, v in enumerate(tpv)}
+    labels = [ds.labels(v) for v in tpv]
+    strides = [1] * len(tpv)
+    for c in range(len(tpv) - 2, -1, -1):
+        strides[c] = strides[c + 1] * len(labels[c + 1])
+    heights, moves = [], []
+    for c, v in enumerate(tpv):
+        hs, ms = [], []
+        for i in range(len(labels[c])):
+            nv, dnv = nesting_sets(ds, v, i)
+            hs.append(i + sum(ds.l(w) for w in nv))
+            nested = tuple(col[w] for w in dnv)
+            # sliding lowers i; shuffling also sends DNV(v, i) to their last labels
+            ms.append((nested, sum(ds.l(w) * strides[col[w]] for w in dnv) - strides[c]))
+        heights.append(hs)
+        moves.append(ms)
+    everything = frozenset(range(ds.n + 1))
+    indices, summands = [], []
+    for t in _index_tuples(labels):
+        indices.append(OmittingIndex(tuple(zip(tpv, t))))
+        base = everything.difference([ls[i] for ls, i in zip(labels, t)])
+        h = sum(hs[i] for hs, i in zip(heights, t))
+        summands.append(ProjSummand(basic_of(ds.n, ds.e, base), -h))
     ids = [comp.id(s.gamma) for s in summands]
     d = set()
-    for idx in indices:
-        i = pos[idx]
-        for v, jdx in differential_data(ds, idx):
-            j = pos[jdx]
-            assert comp.tight_row(ids[i]) >> ids[j] & 1
-            d.add((i, j))
-    return FData(ds, Complex(summands, frozenset(d)), indices)
+    for p, t in enumerate(_index_tuples(labels)):
+        for c, i in enumerate(t):
+            if i == 0:
+                continue
+            nested, jump = moves[c][i]
+            if all(t[w] == 0 for w in nested):
+                q = p + jump
+                assert comp.tight_row(ids[p]) >> ids[q] & 1
+                d.add((p, q))
+    return FData(ds, Complex(tuple(summands), frozenset(d)), tuple(indices))
 
 
 def build_F(ds: DividingSet) -> Complex:
@@ -236,11 +273,10 @@ def c_modified(ds: DividingSet, region_index: int, idx: OmittingIndex) -> Omitti
 def negative_region_differential(ds: DividingSet, region_index: int) -> frozenset:
     """Entries of the partial differential attached to one negative region."""
     data = f_data(ds)
-    pos = {idx: t for t, idx in enumerate(data.indices)}
     out = set()
-    for idx in data.indices:
+    for t, idx in enumerate(data.indices):
         if c_admissible(ds, region_index, idx):
-            out.add((pos[idx], pos[c_modified(ds, region_index, idx)]))
+            out.add((t, data.position(c_modified(ds, region_index, idx))))
     return frozenset(out)
 
 
@@ -290,21 +326,24 @@ def _shuffling_type(move: BypassMove, lsv: tuple[NestVector, ...]):
     return ("none", None, None)
 
 
-def _right_of_arc(move: BypassMove):
-    """Predicate on omitting indices: does the summand sit right of the
-    arc (label 0 right of it when uv is based, else uv's omitted position
-    outside [[x, y]])?  Identity indices are the others, shuffling indices
-    are drawn from these."""
+def _left_of_arc(move: BypassMove, tpv: tuple[NestVector, ...]):
+    """Predicate on omitting indices as tuples of positions over tpv: does
+    the summand sit left of the arc (label 0 left of it when uv is based,
+    else uv's omitted position inside [[x, y]])?  These are the identity
+    indices; shuffling indices are drawn from the others."""
     if 0 in move.source.labels(move.uv):
-        zero_right = 0 not in move.left_labels
-        return lambda idx: zero_right
+        zero_left = 0 in move.left_labels
+        return lambda t: zero_left
+    u = tpv.index(move.uv)
     left = frozenset(move.left_positions)
-    return lambda idx: idx.entry(move.uv) not in left
+    return lambda t: t[u] in left
 
 
 def identity_indices(move: BypassMove) -> tuple[OmittingIndex, ...]:
-    right = _right_of_arc(move)
-    return tuple(idx for idx in omitting_indices(move.source) if not right(idx))
+    left = _left_of_arc(move, move.source.tpv)
+    return tuple(
+        idx for idx in omitting_indices(move.source) if left([i for _, i in idx.entries])
+    )
 
 
 def shuffling_indices(move: BypassMove) -> tuple[OmittingIndex, ...]:
@@ -316,10 +355,10 @@ def _shuffling_indices(move: BypassMove, shuffle, lsv) -> tuple[OmittingIndex, .
     kind, wb, kb = shuffle
     if move.ov == STAR or kind == "none":
         return ()
-    right = _right_of_arc(move)
+    left = _left_of_arc(move, move.source.tpv)
     out = []
     for idx in omitting_indices(move.source):
-        if not right(idx) or idx.entry(move.ov) != move.z:
+        if left([i for _, i in idx.entries]) or idx.entry(move.ov) != move.z:
             continue
         if kind == "Y":
             if any(idx.entry(w) != 0 for w in lsv):
@@ -351,16 +390,7 @@ def _shuffled_omitted(move: BypassMove, shuffle, lsv):
     """The labels a shuffling index omits after the move, as a function of
     the index; the part common to every index is computed once."""
     ds = move.source
-    kind, wb, kb = shuffle
-    lab = {move.uv: ds.label_at(move.uv, move.y)}
-    for w in lsv:
-        lab[w] = ds.label_at(w, ds.l(w))
-    if kind == "Z":
-        lab[wb] = ds.label_at(wb, kb - 1)
-    common = frozenset(lab.values())
-    skip = set(lab) | {move.ov}
-    # the merged component is non-based and omits uv's old label
-    merged = 0 not in move.right_labels
+    common, skip, merged = _shuffled_common(move, shuffle, lsv)
 
     def omitted(idx: OmittingIndex) -> frozenset[int]:
         keep = {ds.label_at(v, i) for v, i in idx.entries if v not in skip}
@@ -369,6 +399,20 @@ def _shuffled_omitted(move: BypassMove, shuffle, lsv):
         return common.union(keep)
 
     return omitted
+
+
+def _shuffled_common(move: BypassMove, shuffle, lsv):
+    """(labels every shuffling index omits after the move, the vectors
+    whose omitted labels those replace, whether uv's omitted label stays)."""
+    ds = move.source
+    kind, wb, kb = shuffle
+    lab = {move.uv: ds.label_at(move.uv, move.y)}
+    for w in lsv:
+        lab[w] = ds.label_at(w, ds.l(w))
+    if kind == "Z":
+        lab[wb] = ds.label_at(wb, kb - 1)
+    # the merged component is non-based and omits uv's old label
+    return frozenset(lab.values()), set(lab) | {move.ov}, 0 not in move.right_labels
 
 
 def _index_of_omitted(target: DividingSet):
@@ -417,28 +461,71 @@ def chain_map_F(move: BypassMove) -> ChainMap:
 
 def _chain_map_F(comp: Component, m: int) -> ChainMap:
     """index_image on every identity and shuffling index of move m, with
-    the per-move data computed once."""
+    the per-move data computed once and every index a tuple of positions."""
     move = comp.move_list[m]
     ds = move.source
     src = f_data(ds)
     dst = f_data(comp.objects[comp.target(m)])
+    tpv = ds.tpv
+    col = {v: c for c, v in enumerate(tpv)}
+    labels = [ds.labels(v) for v in tpv]
+    identity = _left_of_arc(move, tpv)
     lsv = left_shuffling_vectors(move)
-    shuffle = _shuffling_type(move, lsv)
-    shuffled = _shuffled_omitted(move, shuffle, lsv)
-    on_target = _index_of_omitted(dst.ds)
-    src_pos = {idx: t for t, idx in enumerate(src.indices)}
-    dst_pos = {idx: t for t, idx in enumerate(dst.indices)}
-    pairs = [(idx, omitted_labels(ds, idx)) for idx in identity_indices(move)]
-    pairs += [(idx, shuffled(idx)) for idx in _shuffling_indices(move, shuffle, lsv)]
+    shuffle = kind, wb, kb = _shuffling_type(move, lsv)
+    fixed = None  # the (column, position) pairs every shuffling index has
+    if move.ov != STAR and kind != "none":
+        at = {col[w]: 0 for w in lsv}
+        if kind == "Z":
+            at[col[wb]] = kb
+        at[col[move.ov]] = move.z
+        fixed = tuple(at.items())
+        common, skip, merged = _shuffled_common(move, shuffle, lsv)
+        keep = [c for c, v in enumerate(tpv) if v not in skip]
+        # a based uv is merged only with label 0 left of the arc, when
+        # every index is an identity index
+        if merged and move.uv in col:
+            keep.append(col[move.uv])
+    place = _placer(dst.ds)
     entries = set()
-    for idx, omitted in pairs:
-        i = src_pos[idx]
-        j = dst_pos[on_target(omitted)]
+    for i, t in enumerate(_index_tuples(labels)):
+        if identity(t):
+            j = place([ls[x] for ls, x in zip(labels, t)])
+        elif fixed is not None and all(t[c] == x for c, x in fixed):
+            j = place(common.union([labels[c][t[c]] for c in keep]))
+        else:
+            continue
         a = comp.id(src.complex.summands[i].gamma)
         assert comp.tight_row(a) >> comp.id(dst.complex.summands[j].gamma) & 1
         entries.add((i, j))
     k = _constant_degree(src, dst, entries)
     return ChainMap(src.complex, dst.complex, k, frozenset(entries))
+
+
+def _placer(target: DividingSet):
+    """The position in F(target) of the omitting index that omits the
+    given labels; labels of the based component are passed over."""
+    tpv = target.tpv
+    where = {}
+    stride = 1
+    for c in range(len(tpv) - 1, -1, -1):
+        ls = target.labels(tpv[c])
+        for i, s in enumerate(ls):
+            where[s] = (1 << c, i * stride)
+        stride *= len(ls)
+    full = (1 << len(tpv)) - 1
+
+    def position(omitted) -> int:
+        p = hit = 0
+        for s in omitted:
+            w = where.get(s)
+            if w is not None:
+                assert not hit & w[0], (target, omitted)
+                hit |= w[0]
+                p += w[1]
+        assert hit == full, (target, omitted)
+        return p
+
+    return position
 
 
 def _constant_degree(src: FData, dst: FData, entries: set) -> int:
@@ -513,16 +600,19 @@ def gamma_chain_map(tri: Triangle) -> ChainMap:
     """
     src = f_data(tri.g1)
     dst = f_data(tri.g3)
-    ii = set(identity_indices(tri.b1))
-    # distinct indices omit distinct label sets: components are disjoint
-    position = {omitted_labels(tri.g3, jdx): j for j, jdx in enumerate(dst.indices)}
+    tpv = tri.g1.tpv
+    labels = [tri.g1.labels(v) for v in tpv]
+    identity = _left_of_arc(tri.b1, tpv)
+    # distinct indices omit distinct label sets: components are disjoint;
+    # with as many non-based vectors on both sides, no label is passed over
+    same = len(tpv) == len(tri.g3.tpv)
+    place = _placer(tri.g3)
     entries = set()
-    for i, idx in enumerate(src.indices):
-        if idx in ii:
+    for i, t in enumerate(_index_tuples(labels)):
+        if identity(t):
             continue
-        j = position.get(omitted_labels(tri.g1, idx))
-        assert j is not None
-        entries.add((i, j))
+        assert same
+        entries.add((i, place([ls[x] for ls, x in zip(labels, t)])))
     k = _constant_degree(src, dst, entries) if entries else 0
     return ChainMap(src.complex, dst.complex, k, frozenset(entries))
 

@@ -26,7 +26,7 @@ from itertools import accumulate
 from typing import Iterable, Iterator, Optional
 
 from . import gf2
-from .divset import DividingSet, ds_from_json, ds_to_json
+from .divset import DividingSet, ds_from_json, ds_to_json, int_from_json
 from .errors import ComponentMismatch, NotBasic, ShapeMismatch
 from .homs import Component, component, tight_basic
 
@@ -352,6 +352,9 @@ def find_homotopy(f: ChainMap, g: ChainMap) -> Optional[Homotopy]:
     """h with f + g = d.h + h.d, or None ("Absent") if none exists."""
     if (f.src, f.dst, f.k) != (g.src, g.dst, g.k):
         raise ShapeMismatch("homotopy comparison needs equal shapes and degrees")
+    if f.entries == g.entries:
+        _pair_ids(f.src, f.dst)  # rejects two components, as the solve does
+        return Homotopy(f.src, f.dst, f.k - 1, frozenset())
     hc = HomComplex(f.src, f.dst)
     pos = hc.position(f.k)
     target = 0
@@ -850,9 +853,11 @@ def complex_to_json(c: Complex) -> dict:
 
 def complex_from_json(obj: dict) -> Complex:
     summands = tuple(
-        ProjSummand(ds_from_json(s["gamma"]), int(s["h"])) for s in obj["summands"]
+        ProjSummand(ds_from_json(s["gamma"]), int_from_json(s["h"])) for s in obj["summands"]
     )
-    return Complex(summands, frozenset((int(i), int(j)) for i, j in obj["d"]))
+    return Complex(
+        summands, frozenset((int_from_json(i), int_from_json(j)) for i, j in obj["d"])
+    )
 
 
 def chain_map_to_json(f: ChainMap) -> dict:

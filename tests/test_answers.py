@@ -48,6 +48,16 @@ def _serre_images():
         yield kom.complex_to_json(kom.serre_transform(functor.build_F(g)))
 
 
+def _F_images():
+    for g in OBJECTS:
+        yield kom.complex_to_json(functor.build_F(g))
+
+
+def _gamma_maps():
+    for mv in _moves():
+        yield kom.chain_map_to_json(functor.gamma_chain_map(bypass.triangle(mv.source, mv)))
+
+
 def _morphism_images():
     for g, g2 in PAIRS:
         yield kom.chain_map_to_json(functor.F_of_morphism(g, g2))
@@ -106,6 +116,8 @@ def test_item_counts():
         (_triangles, "0cd18a4a3de2faa74cffefa3235f411cca4a78956bfd9cab1e1867a5c385cfd5"),
         (_commuting_squares, "959ec9b5f6253c09792b2c7b921cc20d2589adeeedbaf18285977a1f7c7ce697"),
         (_bypass_graphs, "22b51d58352ea31f6b15a31ab1d01d05cbe2c73c4543bfaa49c75ec40aa5c481"),
+        (_F_images, "db1aa4dbc42e3e839340dca2eb410e0e2bc9e9ff227d62ea2cccd908b38da47e"),
+        (_gamma_maps, "9dcd5e3c04d85f312f96c1e58ca4f872160c8d2f5ea4d8cbf153f66417bbb834"),
     ],
     ids=[
         "serre_transform",
@@ -115,6 +127,8 @@ def test_item_counts():
         "triangle",
         "commuting_squares",
         "export_dot_bypass_graph",
+        "build_F",
+        "gamma_chain_map",
     ],
 )
 def test_answer_digest(items, digest):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from diskcontact import bypass, functor, kom, suites
 from diskcontact.cli import main
-from diskcontact.divset import basic_of, ds_to_json, enumerate_objects, vector_to_json
+from diskcontact.divset import basic_of, ds_from_json, ds_to_json, enumerate_objects, vector_to_json
 
 DS_EXG4 = json.dumps(
     {
@@ -130,6 +130,67 @@ def test_invalid_inputs_exit_3(capsys):
 def test_unparseable_exits_2(capsys):
     assert main(["complex", "--ds", "{not json"]) == 2
     capsys.readouterr()
+
+
+def _mutated(text, change):
+    obj = json.loads(text)
+    change(obj)
+    return json.dumps(obj)
+
+
+def _set(path, value):
+    def change(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+
+    return change
+
+
+def _twice(obj):
+    obj["components"].append(dict(obj["components"][-1]))
+
+
+CX_EXG4 = json.dumps(kom.complex_to_json(functor.build_F(ds_from_json(json.loads(DS_EXG4)))))
+
+# Each mutation reads as a valid input under int() coercion or str iteration.
+_MALFORMED = [
+    ("complex", DS_EXG4, _set(["components", 1, "labels"], [1, 4.5])),
+    ("complex", DS_EXG4, _set(["components", 1, "labels"], ["1", 4])),
+    ("complex", DS_EXG4, _set(["components", 0, "labels"], [False])),
+    ("complex", DS_EXG4, _set(["components", 1, "labels"], "14")),
+    ("complex", DS_EXG4, _set(["components", 1, "v"], "1")),
+    ("complex", DS_EXG4, _set(["components", 2, "v"], [1, True])),
+    ("complex", DS_EXG4, _set(["n"], 4.9)),
+    ("complex", DS_EXG4, _set(["e"], "2")),
+    ("complex", DS_EXG4, _twice),
+    ("chainmap", MV_T1, _set(["x"], 1.9)),
+    ("chainmap", MV_T1, _set(["y"], True)),
+    ("chainmap", MV_T1, _set(["z"], "1")),
+    ("chainmap", MV_T1, _set(["uv"], "11")),
+    ("chainmap", MV_T1, _set(["ov"], [1.0])),
+    ("homdim", CX_EXG4, _set(["summands", 0, "h"], 0.0)),
+    ("homdim", CX_EXG4, _set(["d"], [[1.0, 0], [2, 1], [3, 2]])),
+    ("homdim", CX_EXG4, _set(["summands", 0, "gamma", "n"], 4.0)),
+]
+
+
+def _argv(command, text):
+    if command == "complex":
+        return ["complex", "--ds", text]
+    if command == "chainmap":
+        return ["chainmap", "--ds", DS_EXG4, "--move", text]
+    return ["homdim", "--src", text, "--dst", text]
+
+
+@pytest.mark.parametrize(
+    "command,valid,change", _MALFORMED, ids=[f"{c}-{i}" for i, (c, _, _) in enumerate(_MALFORMED)]
+)
+def test_values_of_the_wrong_json_type_exit_2(capsys, command, valid, change):
+    assert main(_argv(command, valid)) == 0
+    capsys.readouterr()
+    assert main(_argv(command, _mutated(valid, change))) == 2
+    assert "unparseable" in capsys.readouterr().err
 
 
 def test_verify_suite_pass(capsys):

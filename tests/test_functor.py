@@ -26,6 +26,7 @@ from diskcontact.functor import (
     lift_F,
     lift_morphism,
     negative_region_differential,
+    omitted_labels,
     omitting_indices,
     shuffling_indices,
     shuffling_type,
@@ -244,9 +245,57 @@ def _ref_chain_map_F(move):
 
 
 def test_chain_map_F_matches_the_per_index_reference():
-    for g in enumerate_objects(6, 3):
+    for n, e in pairs_up_to(5) + [(6, 3)]:
+        for g in enumerate_objects(n, e):
+            for mv in enumerate_bypasses(g):
+                assert chain_map_F(mv) == _ref_chain_map_F(mv)
+
+
+def _ref_gamma_chain_map(tri):
+    """gamma_chain_map one summand at a time: each index of g1 outside the
+    identity indices of b1 goes to the index of g3 omitting the same
+    labels, found by scanning g3's indices."""
+    src, dst = f_data(tri.g1), f_data(tri.g3)
+    ii = identity_indices(tri.b1)
+    entries = set()
+    for i, idx in enumerate(src.indices):
+        if idx in ii:
+            continue
+        omitted = omitted_labels(tri.g1, idx)
+        [j] = [j for j, jdx in enumerate(dst.indices) if omitted_labels(tri.g3, jdx) == omitted]
+        entries.add((i, j))
+    degs = {dst.complex.summands[j].h - src.complex.summands[i].h for i, j in entries}
+    assert len(degs) <= 1
+    return kom.ChainMap(src.complex, dst.complex, degs.pop() if degs else 0, frozenset(entries))
+
+
+@pytest.mark.parametrize("n,e", pairs_up_to(5) + [(6, 3)])
+def test_gamma_chain_map_matches_the_per_index_reference(n, e):
+    for g in enumerate_objects(n, e):
         for mv in enumerate_bypasses(g):
-            assert chain_map_F(mv) == _ref_chain_map_F(mv)
+            tri = triangle(g, mv)
+            assert gamma_chain_map(tri) == _ref_gamma_chain_map(tri)
+
+
+def _ref_indices(g):
+    """The omitting indices of g built and sorted one by one."""
+    ranges = [range(g.l(v) + 1) for v in g.tpv]
+    out = [OmittingIndex.make(dict(zip(g.tpv, t))) for t in itertools.product(*ranges)]
+    return sorted(out, key=lambda idx: idx.entries)
+
+
+@pytest.mark.parametrize("n,e", pairs_up_to(5) + [(6, 3)])
+def test_f_data_matches_the_per_index_references(n, e):
+    for g in enumerate_objects(n, e):
+        data = f_data(g)
+        ref = _ref_indices(g)
+        assert data.indices == tuple(ref) == omitting_indices(g)
+        summands = [kom.ProjSummand(gamma_of(g, idx), -coh_degree(g, idx)) for idx in ref]
+        assert data.complex.summands == tuple(summands)
+        d = {(ref.index(idx), ref.index(jdx)) for idx in ref for _, jdx in differential_data(g, idx)}
+        assert data.complex.d == d
+        for idx in ref:
+            assert data.position(idx) == data.indices.index(idx)
 
 
 @pytest.mark.parametrize("n,e", pairs_up_to(4))
@@ -388,3 +437,11 @@ def test_f_data_positions(ex_g4):
     for t, idx in enumerate(data.indices):
         assert data.position(idx) == t
         assert data.complex.summands[t].gamma == gamma_of(ex_g4, idx)
+    others = [
+        OmittingIndex.make({(1,): 2, (1, 1): 0}),  # position past l(v)
+        OmittingIndex.make({(1,): 0}),  # a vector missing
+        OmittingIndex.make({(1,): 0, (1, 2): 0}),  # a vector of another object
+    ]
+    for idx in others:
+        with pytest.raises(ValueError):
+            data.position(idx)

@@ -509,6 +509,31 @@ def test_find_homotopy_rejects_components():
         is_nullhomotopic(zero_map(a, mixed))
 
 
+def _solved_homotopy(f, g):
+    """find_homotopy's GF(2) solve without its shortcut for equal maps."""
+    hc = HomComplex(f.src, f.dst)
+    pos = hc.position(f.k)
+    target = 0
+    for p in f.entries ^ g.entries:
+        target |= 1 << pos[p]
+    sol = gf2.solve(hc.columns(f.k - 1), target)
+    b_h = hc.basis(f.k - 1)
+    return kom.Homotopy(f.src, f.dst, f.k - 1, frozenset(b_h[i] for i in sol))
+
+
+@pytest.mark.parametrize("n,e", pairs_up_to(4))
+def test_find_homotopy_of_equal_maps_is_what_the_solve_returns(n, e):
+    for g in enumerate_objects(n, e):
+        F = functor.build_F(g)
+        maps = [functor.chain_map_F(mv) for mv in bypass.enumerate_bypasses(g)]
+        maps += [identity_map(F), zero_map(F, F, 1), ChainMap(F, F, 1, F.d)]
+        for f in maps:
+            g2 = ChainMap(f.src, f.dst, f.k, frozenset(f.entries))
+            h = find_homotopy(f, g2)
+            assert h == _solved_homotopy(f, g2)
+            assert h == kom.Homotopy(f.src, f.dst, f.k - 1, frozenset())
+
+
 def test_equivalent_is_false_across_components():
     # summand ids are per component, so equal (id, degree) multisets in two
     # components must not be taken for equal summands
