@@ -21,6 +21,7 @@ from .divset import (
 )
 from .homs import (
     composition_nonzero,
+    composition_nonzero_right,
     hom_nonzero,
     rounded_components,
     tight_basic,
@@ -54,6 +55,7 @@ from .kom import (
     equivalent,
     find_homotopy,
     hom_dim,
+    hom_total,
     is_homotopy_equivalence,
     serre_resolution,
     serre_transform,

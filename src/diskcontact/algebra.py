@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .divset import DividingSet, basic_of, basic_sets, ds_to_json
+from .divset import DividingSet, basic_of, basic_sets
 from .errors import ComponentMismatch, NotBasic
 from .homs import component
 
@@ -222,24 +222,3 @@ def quiver_dot(n: int, e: int) -> str:
         lines.append(f'  {node(g)} -> {node(g2)} [label="{s}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def algebra_json(n: int, e: int) -> dict:
-    """Basis and multiplication table (indices of nonzero products)."""
-    bs = basis(n, e)
-    index = {b: i for i, b in enumerate(bs)}
-    table = []
-    for i, a in enumerate(bs):
-        for j, b in enumerate(bs):
-            prod = _mul_basis(a, b)
-            if prod:
-                table.append([i, j, index[next(iter(prod))]])
-    return {
-        "n": n,
-        "e": e,
-        "dimension": len(bs),
-        "basis": [
-            {"src": ds_to_json(b.src), "dst": ds_to_json(b.dst)} for b in bs
-        ],
-        "products": table,
-    }

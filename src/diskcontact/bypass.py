@@ -297,11 +297,6 @@ def obar(ds: DividingSet) -> tuple[DividingSet, BypassMove]:
     return tri.g3, tri.b3
 
 
-def m_invariant(ds: DividingSet) -> int:
-    """Distance from basic: e + 1 - |based component|."""
-    return ds.e + 1 - len(ds.star)
-
-
 def zero_region(move: BypassMove) -> int:
     """Index in 1..6 of the region of the attaching-arc figure holding label 0.
 

@@ -244,24 +244,6 @@ def positive_faces(m: Matching) -> list[frozenset[int]]:
     return out
 
 
-def negative_faces(m: Matching) -> list[frozenset[int]]:
-    """Components of the negative region, as indices t of the arcs (2t+1, 2t+2)."""
-    n1 = len(m) // 2
-    seen = [False] * n1
-    out = []
-    for s in range(n1):
-        if seen[s]:
-            continue
-        cyc = []
-        t = s
-        while not seen[t]:
-            seen[t] = True
-            cyc.append(t)
-            t = (m[(2 * t + 2) % (2 * n1)] - 1) // 2
-        out.append(frozenset(cyc))
-    return out
-
-
 def to_matching(ds: DividingSet) -> Matching:
     m = [-1] * (2 * ds.n + 2)
     for v, _ in ds.components:

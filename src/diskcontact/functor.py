@@ -306,11 +306,6 @@ def left_shuffling_vectors(move: BypassMove) -> tuple[NestVector, ...]:
     return tuple(sorted(out))
 
 
-def shuffling_type(move: BypassMove) -> tuple[str, Optional[NestVector], Optional[int]]:
-    """("Y"|"Z"|"none", pivot vector, pivot position) for the move."""
-    return _shuffling_type(move, left_shuffling_vectors(move))
-
-
 def _shuffling_type(move: BypassMove, lsv: tuple[NestVector, ...]):
     ds = move.source
     a = ds.label_at(move.uv, move.y)
@@ -344,11 +339,6 @@ def identity_indices(move: BypassMove) -> tuple[OmittingIndex, ...]:
     return tuple(
         idx for idx in omitting_indices(move.source) if left([i for _, i in idx.entries])
     )
-
-
-def shuffling_indices(move: BypassMove) -> tuple[OmittingIndex, ...]:
-    lsv = left_shuffling_vectors(move)
-    return _shuffling_indices(move, _shuffling_type(move, lsv), lsv)
 
 
 def _shuffling_indices(move: BypassMove, shuffle, lsv) -> tuple[OmittingIndex, ...]:

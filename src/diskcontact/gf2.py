@@ -1,25 +1,13 @@
 """Exact linear algebra over the field of two elements.
 
 Vectors are Python ints used as bitmasks (bit i = coordinate i), so XOR is
-vector addition.  This keeps rank/solve/nullspace exact and fast enough for
+vector addition.  This keeps elimination and solve exact and fast enough for
 the matrix sizes that appear here (a few thousand coordinates at most).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
-
-
-def rank(vectors: Iterable[int]) -> int:
-    """Rank of the span of the given bitmask vectors."""
-    basis: list[int] = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return len(basis)
+from typing import Optional, Sequence
 
 
 class Eliminator:
@@ -71,17 +59,3 @@ def solve(columns: Sequence[int], target: int) -> Optional[list[int]]:
     if combo is None:
         return None
     return [i for i in range(len(columns)) if (combo >> i) & 1]
-
-
-def nullspace(columns: Sequence[int]) -> list[int]:
-    """Basis of {x : sum x_i columns[i] = 0}, each x a bitmask over indices."""
-    elim = Eliminator()
-    out: list[int] = []
-    for i, c in enumerate(columns):
-        v, combo = elim._reduce(c, 1 << i)
-        if v:
-            elim._rows[v.bit_length() - 1] = (v, combo)
-            elim._count += 1
-        else:
-            out.append(combo)
-    return out

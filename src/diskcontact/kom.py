@@ -150,6 +150,8 @@ def verify_complex(c: Complex) -> bool:
 
 def verify_chain_map(f: ChainMap) -> bool:
     for i, j in f.entries:
+        if not (0 <= i < f.src.size and 0 <= j < f.dst.size):
+            return False
         if not _entry_ok(f.src.summands[i], f.dst.summands[j], f.k):
             return False
     lhs = _compose_entries(f.src.d, f.entries, f.src, f.dst)
@@ -198,16 +200,14 @@ def cone(f: ChainMap) -> Complex:
     return Complex(summands, frozenset(d))
 
 
-def euler_vector(c: Complex) -> dict[DividingSet, int]:
-    """Class in the Grothendieck group: signed count of each projective."""
-    out: dict[DividingSet, int] = {}
-    for s in c.summands:
-        out[s.gamma] = out.get(s.gamma, 0) + (-1) ** (s.h % 2)
-    return {g: v for g, v in out.items() if v}
-
-
 # ---------------------------------------------------------------------------
 # hom spaces in the homotopy category
+#
+# Every hom dimension and nullhomotopy question is answered from the
+# column retracts below, one per source.  find_homotopy, equivalent and
+# _repair_differential need an explicit map, not only its class: they
+# solve D on the single-entry map basis, and the order in which
+# map_basis lists the pairs fixes which solution gf2.solve returns.
 
 
 def map_basis(src: Complex, dst: Complex) -> list[tuple[int, int, int]]:
@@ -266,86 +266,48 @@ def _columns(
     return cols
 
 
-class HomComplex:
-    """The graded complex of module maps src -> dst with D(f) = d_dst.f + f.d_src.
+def _differential(
+    src: Complex, dst: Complex, k: int
+) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int], list[int]]:
+    """The degree-k map basis, the index of each pair of the degree-(k+1)
+    basis, and D on the first as masks over the second, from one
+    map_basis scan."""
+    basis: list[tuple[int, int]] = []
+    above: list[tuple[int, int]] = []
+    for deg, i, j in map_basis(src, dst):
+        if deg == k:
+            basis.append((i, j))
+        elif deg == k + 1:
+            above.append((i, j))
+    pos = {p: t for t, p in enumerate(above)}
+    cols = _columns(_arrows(src.d, True), _arrows(dst.d, False), basis, pos)
+    return basis, pos, cols
 
-    Built for one call and dropped with it.  One map_basis call gives the
-    map basis of every degree; `degrees` are the degrees some tight
-    summand pair is apart by, and every other degree has an empty basis.
-    Each degree's differential columns and rank are computed at most
-    once, and the adjacency of the two differentials only when a first
-    column is.  Raises ComponentMismatch unless every summand of src and
-    dst lies in one component.
-    """
 
-    def __init__(self, src: Complex, dst: Complex):
-        self.src, self.dst = src, dst
-        self._basis: dict[int, list[tuple[int, int]]] = {}
-        for k, i, j in map_basis(src, dst):
-            self._basis.setdefault(k, []).append((i, j))
-        self.degrees = sorted(self._basis)
-        self._adjacency: Optional[tuple[dict[int, list[int]], dict[int, list[int]]]] = None
-        self._pos: dict[int, dict[tuple[int, int], int]] = {}
-        self._cols: dict[int, list[int]] = {}
-        self._rank: dict[int, int] = {}
-
-    def basis(self, k: int) -> list[tuple[int, int]]:
-        """Tight summand pairs (i, j) with h_j - h_i = k, in (i, j) order."""
-        return self._basis.get(k, [])
-
-    def position(self, k: int) -> dict[tuple[int, int], int]:
-        """Index of each pair in the degree-k basis."""
-        pos = self._pos.get(k)
-        if pos is None:
-            pos = self._pos[k] = {p: t for t, p in enumerate(self.basis(k))}
-        return pos
-
-    def columns(self, k: int) -> list[int]:
-        """D on the degree-k basis, as masks over the degree-(k+1) basis."""
-        cols = self._cols.get(k)
-        if cols is None:
-            if self._adjacency is None:
-                self._adjacency = (_arrows(self.src.d, True), _arrows(self.dst.d, False))
-            src_in, dst_out = self._adjacency
-            cols = self._cols[k] = _columns(src_in, dst_out, self.basis(k), self.position(k + 1))
-        return cols
-
-    def rank(self, k: int) -> int:
-        """Rank of D from degree k to degree k + 1."""
-        r = self._rank.get(k)
-        if r is None:
-            empty = not (self.basis(k) and self.basis(k + 1))
-            r = self._rank[k] = 0 if empty else gf2.rank(self.columns(k))
-        return r
-
-    def dim(self, k: int) -> int:
-        """Dimension of degree-k chain maps modulo homotopy."""
-        return len(self.basis(k)) - self.rank(k) - self.rank(k - 1)
+def hom_by_degree(src: Complex, dst: Complex) -> dict[int, int]:
+    """Dimension over GF(2) of degree-k chain maps modulo homotopy, for
+    each degree k where it is nonzero, keyed by ascending k."""
+    return hom_by_degree_from(column_retracts(src), dst)
 
 
 def hom_dim(src: Complex, dst: Complex, k: int) -> int:
     """Dimension over GF(2) of degree-k chain maps modulo homotopy."""
-    return HomComplex(src, dst).dim(k)
-
-
-def hom_by_degree(src: Complex, dst: Complex) -> dict[int, int]:
-    """The nonzero hom_dim(src, dst, k), keyed by ascending degree k.
-
-    A degree no tight summand pair is apart by has an empty map basis, so
-    only those degrees are computed; the count is bounded by the input
-    size even when the summand degrees are far apart.
-    """
-    hc = HomComplex(src, dst)
-    out = {}
-    for k in hc.degrees:
-        dim = hc.dim(k)
-        if dim:
-            out[k] = dim
-    return out
+    return hom_by_degree(src, dst).get(k, 0)
 
 
 def hom_total(src: Complex, dst: Complex) -> int:
-    return sum(hom_by_degree(src, dst).values())
+    return hom_total_from(column_retracts(src), dst)
+
+
+def is_nullhomotopic(f: ChainMap) -> bool:
+    return is_nullhomotopic_from(column_retracts(f.src), f)
+
+
+def is_homotopy_equivalence(f: ChainMap) -> bool:
+    """A degree-0 chain map is invertible up to homotopy iff its cone is
+    contractible, that is iff the cone's identity is nullhomotopic."""
+    c = cone(f)
+    return is_nullhomotopic(identity_map(c))
 
 
 def find_homotopy(f: ChainMap, g: ChainMap) -> Optional[Homotopy]:
@@ -355,30 +317,17 @@ def find_homotopy(f: ChainMap, g: ChainMap) -> Optional[Homotopy]:
     if f.entries == g.entries:
         _pair_ids(f.src, f.dst)  # rejects two components, as the solve does
         return Homotopy(f.src, f.dst, f.k - 1, frozenset())
-    hc = HomComplex(f.src, f.dst)
-    pos = hc.position(f.k)
+    basis, pos, cols = _differential(f.src, f.dst, f.k - 1)
     target = 0
     for p in f.entries ^ g.entries:
         t = pos.get(p)
         if t is None:
             return None  # difference is not even a valid map-space vector
         target |= 1 << t
-    sol = gf2.solve(hc.columns(f.k - 1), target)
+    sol = gf2.solve(cols, target)
     if sol is None:
         return None
-    b_h = hc.basis(f.k - 1)
-    return Homotopy(f.src, f.dst, f.k - 1, frozenset(b_h[i] for i in sol))
-
-
-def is_nullhomotopic(f: ChainMap) -> bool:
-    return find_homotopy(f, zero_map(f.src, f.dst, f.k)) is not None
-
-
-def is_homotopy_equivalence(f: ChainMap) -> bool:
-    """A degree-0 chain map is invertible up to homotopy iff its cone is
-    contractible, a single linear solve over GF(2)."""
-    c = cone(f)
-    return find_homotopy(identity_map(c), zero_map(c, c)) is not None
+    return Homotopy(f.src, f.dst, f.k - 1, frozenset(basis[i] for i in sol))
 
 
 def equivalent(a: Complex, b: Complex) -> bool:
@@ -410,12 +359,12 @@ def equivalent(a: Complex, b: Complex) -> bool:
         raise ShapeMismatch("minimal complex repeats a summand in one degree")
     # unknowns: the degree-0 basis; equations: D = 0 on the degree-1
     # basis (high bits) and entry 1 on matched pair i (bit i)
-    hc = HomComplex(a, b)
-    pos = hc.position(0)
+    basis, _, cols = _differential(a, b, 0)
     m = len(keys_a)
-    cols = [c << m for c in hc.columns(0)]
+    cols = [c << m for c in cols]
+    at = {p: t for t, p in enumerate(basis)}
     for i, key in enumerate(keys_a):
-        cols[pos[(i, match[key])]] |= 1 << i
+        cols[at[(i, match[key])]] |= 1 << i
     return gf2.solve(cols, (1 << m) - 1) is not None
 
 
@@ -475,7 +424,10 @@ def _retract(tight: int, src_in: list[int]) -> _Column:
     Elimination of the differential splits the column as W + B + H: W
     spanned by the eliminated vectors w, B by their images d(w), and H
     by cycles independent modulo B.  eta inverts d from B onto W and pi
-    reads the H coordinate, so no dimension of H is assumed.
+    reads the H coordinate, so no dimension of H is assumed.  d lowers
+    the degree of C's summands by one and each reduction step cancels a
+    pivot of the same degree, so every w, d(w) and generator lies in one
+    degree.
     """
     size = len(src_in)
     rows: dict[int, tuple[int, int]] = {}  # pivot of d(w) -> (d(w), w)
@@ -520,9 +472,9 @@ _EMPTY_COLUMN = _Column(0, (), (), ())
 class ColumnRetracts:
     """The columns Hom(src, P_b) of one source, each reduced on first use.
 
-    Built by `column_retracts` and read by `hom_total_from` and
-    `is_nullhomotopic_from`.  Valid while the component that issued
-    src's summand ids lives.
+    Built by `column_retracts` and read by `hom_by_degree_from`,
+    `hom_total_from` and `is_nullhomotopic_from`.  Valid while the
+    component that issued src's summand ids lives.
     """
 
     def __init__(self, src: Complex):
@@ -563,8 +515,8 @@ class ColumnRetracts:
 
 
 def column_retracts(src: Complex) -> ColumnRetracts:
-    """Per-source data that answers hom_total and is_nullhomotopic for
-    maps out of src, one destination at a time.
+    """Per-source data that answers hom questions about maps out of src,
+    one destination at a time.
 
     A module-level entry point, as the per-pair ones are, because the
     benchmark's per-layer tracer times module-level functions only.
@@ -619,28 +571,65 @@ def _page(cols: list[_Column]) -> list[int]:
     return list(accumulate([len(col.iota) for col in cols], initial=0))
 
 
-def _transferred(cols: list[_Column], dst: Complex, offsets: list[int]) -> Iterator[int]:
-    """d' = pi.delta.sum_n (eta.delta)^n.iota on each E1 generator, lowest
-    dst degree first: d' raises the degree, so the generators it does not
-    kill come early."""
+def _transferred(
+    retracts: ColumnRetracts, cols: list[_Column], dst: Complex, offsets: list[int]
+) -> Iterator[tuple[int, int]]:
+    """(k, d'(g)) for each E1 generator g, of degree k as a map, with
+    d' = pi.delta.sum_n (eta.delta)^n.iota; lowest dst degree first: d'
+    raises the degree, so the generators it does not kill come early."""
     dst_out, ascending = _upward(dst)
+    src_h = retracts.degrees
     for j in ascending:
+        h = dst.summands[j].h
         for g in cols[j].iota:
-            yield _transfer(cols, dst_out, offsets, {j: g})
+            yield h - src_h[(g & -g).bit_length() - 1], _transfer(cols, dst_out, offsets, {j: g})
+
+
+def hom_by_degree_from(retracts: ColumnRetracts, dst: Complex) -> dict[int, int]:
+    """hom_by_degree(retracts.src, dst).
+
+    Each E1 generator is homogeneous and d' raises the degree by one, so
+    the degree-k hom has dimension dim E1^k - rank d'_k - rank d'_(k-1).
+    Raises ComponentMismatch unless every summand of src and dst lies in
+    one component.
+    """
+    cols = retracts.columns(dst)
+    gens = [(j, g) for j, col in enumerate(cols) for g in col.iota]
+    if not gens:
+        return {}
+    src_h, dst_s = retracts.degrees, dst.summands
+    dims: dict[int, int] = {}
+    for j, g in gens:
+        k = dst_s[j].h - src_h[(g & -g).bit_length() - 1]
+        dims[k] = dims.get(k, 0) + 1
+    dim = len(gens)
+    if dim >= 2:
+        # d' of a degree-k generator lies in degree k + 1, so one
+        # elimination counts the rank of every degree
+        span = gf2.Eliminator()
+        for k, v in _transferred(retracts, cols, dst, _page(cols)):
+            rank = span.rank
+            span.add(v)
+            if span.rank > rank:
+                dims[k] -= 1
+                dims[k + 1] -= 1
+                if 2 * span.rank == dim:
+                    break  # d'^2 = 0 bounds the rank of d' by dim / 2
+    return {k: d for k, d in sorted(dims.items()) if d}
 
 
 def hom_total_from(retracts: ColumnRetracts, dst: Complex) -> int:
     """hom_total(retracts.src, dst): dim E1 - 2 rank d'.
 
-    Raises ComponentMismatch unless every summand of src and dst lies in
-    one component.
+    The sum of hom_by_degree_from without its degree bookkeeping, for
+    the faithful table's many pairs.
     """
     cols = retracts.columns(dst)
     dim = sum([len(col.iota) for col in cols])
     if dim < 2:
         return dim
     span = gf2.Eliminator()
-    for v in _transferred(cols, dst, _page(cols)):
+    for _, v in _transferred(retracts, cols, dst, _page(cols)):
         span.add(v)
         if 2 * span.rank == dim:
             break  # d'^2 = 0 bounds the rank of d' by dim / 2
@@ -653,7 +642,7 @@ def is_nullhomotopic_from(retracts: ColumnRetracts, f: ChainMap) -> bool:
     f must be a cocycle of the Hom-complex: otherwise, as for
     find_homotopy, it is not nullhomotopic.  A cocycle is nullhomotopic
     iff pi'(f) = pi.f + pi.delta.sum_n (eta.delta)^n.eta.f lies in the
-    image of d'.
+    image of d' on the degree f.k - 1 generators.
     """
     if f.src is not retracts.src and f.src != retracts.src:
         raise ShapeMismatch("map does not start at the retracts' source")
@@ -680,7 +669,8 @@ def is_nullhomotopic_from(retracts: ColumnRetracts, f: ChainMap) -> bool:
         return True
     if offsets[-1] < 2:
         return False  # d' = 0
-    return gf2.solve(list(_transferred(cols, dst, offsets)), target) is not None
+    images = [v for k, v in _transferred(retracts, cols, dst, offsets) if k == f.k - 1]
+    return gf2.solve(images, target) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -821,13 +811,11 @@ def _repair_differential(
                 if _block_of(a, offsets) == bi and _block_of(b, offsets) == bj
             ]
             # D(h) must cancel the local failure: solve over single entries
-            hc = HomComplex(res_i, res_j)
-            basis_h = hc.basis(1 - hshift)
-            pos = hc.position(2 - hshift)
+            basis_h, pos, cols = _differential(res_i, res_j, 1 - hshift)
             target = 0
             for p in local:
                 target |= 1 << pos[p]
-            sol = gf2.solve(hc.columns(1 - hshift), target)
+            sol = gf2.solve(cols, target)
             if sol is None:
                 raise ShapeMismatch("no homotopy correction for rotation square")
             for t in sol:

@@ -378,12 +378,13 @@ def suite_triangles(n: int, e: int) -> SuiteReport:
 
     def distinguished():
         for g in objs:
+            retracts = kom.column_retracts(functor.build_F(g))
             for mv in bypass.enumerate_bypasses(g):
                 tri = bypass.triangle(g, mv)
                 f1 = functor.chain_map_F(tri.b1)
                 f2 = functor.chain_map_F(tri.b2)
                 comp = kom.compose(f1, f2)
-                if not kom.is_nullhomotopic(comp):
+                if not kom.is_nullhomotopic_from(retracts, comp):
                     return {"ds": ds_to_json(g), "move": _move_json(mv)}
                 cn = kom.cone(functor.lift_morphism(tri.b1, 0))
                 target = kom.shift(functor.build_F(tri.g3), f1.k + f2.k)
@@ -391,23 +392,6 @@ def suite_triangles(n: int, e: int) -> SuiteReport:
                     return {"ds": ds_to_json(g), "move": _move_json(mv)}
 
     def far_commutativity():
-        # a transported move's target and chain map are looked up once per
-        # move, not once per square it belongs to
-        targets: dict[bypass.BypassMove, DividingSet] = {}
-        maps: dict[bypass.BypassMove, kom.ChainMap] = {}
-
-        def target(g, mv):
-            h = targets.get(mv)
-            if h is None:
-                h = targets[mv] = bypass.attach(g, mv)
-            return h
-
-        def chain_map(mv):
-            f = maps.get(mv)
-            if f is None:
-                f = maps[mv] = functor.chain_map_F(mv)
-            return f
-
         for g in objs:
             moves = bypass.enumerate_bypasses(g)
             for a, b in itertools.combinations(moves, 2):
@@ -418,18 +402,18 @@ def suite_triangles(n: int, e: int) -> SuiteReport:
                 ga, gb = bypass.attach(g, a), bypass.attach(g, b)
                 for sq in squares:
                     if sq.after_a and sq.after_b:
-                        if target(ga, sq.after_a) != target(gb, sq.after_b):
+                        if bypass.attach(ga, sq.after_a) != bypass.attach(gb, sq.after_b):
                             return {"ds": ds_to_json(g)}
-                        lhs = kom.compose(fa, chain_map(sq.after_a))
-                        rhs = kom.compose(fb, chain_map(sq.after_b))
+                        lhs = kom.compose(fa, functor.chain_map_F(sq.after_a))
+                        rhs = kom.compose(fb, functor.chain_map_F(sq.after_b))
                         if kom.find_homotopy(lhs, rhs) is None:
                             return {"ds": ds_to_json(g), "kind": "square"}
-                    elif sq.after_a and target(ga, sq.after_a) == gb:
-                        lhs = kom.compose(fa, chain_map(sq.after_a))
+                    elif sq.after_a and bypass.attach(ga, sq.after_a) == gb:
+                        lhs = kom.compose(fa, functor.chain_map_F(sq.after_a))
                         if kom.find_homotopy(lhs, fb) is None:
                             return {"ds": ds_to_json(g), "kind": "rotation"}
-                    elif sq.after_b and target(gb, sq.after_b) == ga:
-                        lhs = kom.compose(fb, chain_map(sq.after_b))
+                    elif sq.after_b and bypass.attach(gb, sq.after_b) == ga:
+                        lhs = kom.compose(fb, functor.chain_map_F(sq.after_b))
                         if kom.find_homotopy(lhs, fa) is None:
                             return {"ds": ds_to_json(g), "kind": "rotation"}
 
@@ -509,10 +493,15 @@ def suite_faithful(n: int, e: int) -> SuiteReport:
                 return {"ds": ds_to_json(g)}
 
     def reverse_bypass_zero():
+        # grouped by bypass target, so one column retracts serves each source
+        into: dict[DividingSet, dict[DividingSet, bypass.BypassMove]] = {}
         for g in objs:
             for mv in bypass.enumerate_bypasses(g):
-                g2 = bypass.attach(g, mv)
-                if kom.hom_total(functor.build_F(g2), functor.build_F(g)) != 0:
+                into.setdefault(bypass.attach(g, mv), {}).setdefault(g, mv)
+        for g2, moves in into.items():
+            retracts = kom.column_retracts(functor.build_F(g2))
+            for g, mv in moves.items():
+                if kom.hom_total_from(retracts, functor.build_F(g)) != 0:
                     return {"ds": ds_to_json(g), "move": _move_json(mv)}
 
     def full_table():

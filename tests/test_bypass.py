@@ -11,7 +11,6 @@ from diskcontact.bypass import (
     canonical_bypass,
     commuting_squares,
     enumerate_bypasses,
-    m_invariant,
     move_from_chords,
     obar,
     serre_rotate,
@@ -32,6 +31,11 @@ from diskcontact.errors import ComponentMismatch, InvalidMove, IsBasic
 from diskcontact.homs import component, hom_nonzero
 
 from conftest import pairs_up_to
+
+
+def m_invariant(ds: DividingSet) -> int:
+    """Distance from basic: e + 1 - |based component|."""
+    return ds.e + 1 - len(ds.star)
 
 
 def test_unique_bypass_on_ex_g1(ex_g1):

@@ -15,7 +15,6 @@ from diskcontact.divset import (
     enumerate_objects,
     from_matching,
     is_crossingless_matching,
-    negative_faces,
     nesting_sets,
     noncrossing_matchings,
     positive_faces,
@@ -25,6 +24,24 @@ from diskcontact.divset import (
 from diskcontact.errors import BadBase, EulerMismatch, IndexOutOfRange
 
 from conftest import pairs_up_to
+
+
+def negative_faces(m):
+    """Components of the negative region, as indices t of the arcs (2t+1, 2t+2)."""
+    n1 = len(m) // 2
+    seen = [False] * n1
+    out = []
+    for s in range(n1):
+        if seen[s]:
+            continue
+        cyc = []
+        t = s
+        while not seen[t]:
+            seen[t] = True
+            cyc.append(t)
+            t = (m[(2 * t + 2) % (2 * n1)] - 1) // 2
+        out.append(frozenset(cyc))
+    return out
 
 
 def test_validate_figure_example():

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from diskcontact import bypass, kom
+from diskcontact import bypass, functor, kom
 from diskcontact.bypass import BypassMove, attach, enumerate_bypasses, triangle
 from diskcontact.divset import STAR, DividingSet, basic_of, enumerate_objects, geometry
 from diskcontact.errors import IndexNotApplicable
@@ -28,13 +28,21 @@ from diskcontact.functor import (
     negative_region_differential,
     omitted_labels,
     omitting_indices,
-    shuffling_indices,
-    shuffling_type,
     split_indices,
 )
 from diskcontact.homs import hom_nonzero, tight_basic
 
 from conftest import pairs_up_to
+
+
+def shuffling_type(move):
+    """("Y"|"Z"|"none", pivot vector, pivot position) for the move."""
+    return functor._shuffling_type(move, left_shuffling_vectors(move))
+
+
+def shuffling_indices(move):
+    lsv = left_shuffling_vectors(move)
+    return functor._shuffling_indices(move, functor._shuffling_type(move, lsv), lsv)
 
 
 def proj_list(c):

@@ -9,7 +9,6 @@ from diskcontact.homs import tight_basic
 from diskcontact.kom import (
     ChainMap,
     Complex,
-    HomComplex,
     ProjSummand,
     add_maps,
     complex_from_json,
@@ -17,7 +16,6 @@ from diskcontact.kom import (
     compose,
     cone,
     equivalent,
-    euler_vector,
     find_homotopy,
     hom_by_degree,
     hom_dim,
@@ -30,11 +28,13 @@ from diskcontact.kom import (
     serre_transform,
     shift,
     simplify,
+    verify_chain_map,
     verify_complex,
     zero_map,
 )
 
 from conftest import pairs_up_to
+from oracle import HomComplex, nullspace, rank
 
 
 def two_term():
@@ -121,6 +121,14 @@ def test_simplify_preserves_homotopy_type(ex_g4):
     s = simplify(c)
     assert verify_complex(s)
     assert equivalent(c, s)
+
+
+def euler_vector(c: Complex) -> dict:
+    """Class in the Grothendieck group: signed count of each projective."""
+    out: dict = {}
+    for s in c.summands:
+        out[s.gamma] = out.get(s.gamma, 0) + (-1) ** (s.h % 2)
+    return {g: v for g, v in out.items() if v}
 
 
 def test_euler_vector_of_cone(ex_g3, ex_g4):
@@ -261,7 +269,7 @@ def _ref_hom_dim(src, dst, k):
     b_prev, b_k, b_next = (_ref_basis(src, dst, k + t) for t in (-1, 0, 1))
     d_k = _ref_columns(src, dst, b_k, b_next)
     d_prev = _ref_columns(src, dst, b_prev, b_k)
-    return len(b_k) - gf2.rank(d_k) - gf2.rank(d_prev)
+    return len(b_k) - rank(d_k) - rank(d_prev)
 
 
 def _ref_is_nullhomotopic(f):
@@ -275,7 +283,7 @@ def _ref_is_nullhomotopic(f):
 
 def _ref_class_count(src, dst):
     b0, b1, bm = (_ref_basis(src, dst, k) for k in (0, 1, -1))
-    cocycles = gf2.nullspace(_ref_columns(src, dst, b0, b1))
+    cocycles = nullspace(_ref_columns(src, dst, b0, b1))
     span = gf2.Eliminator()
     for c in _ref_columns(src, dst, bm, b0):
         span.add(c)
@@ -324,7 +332,7 @@ def _ref_hom_class_reps(src, dst):
     for c in hc.columns(-1):
         span.add(c)
     chosen = []
-    for v in gf2.nullspace(hc.columns(0)):
+    for v in nullspace(hc.columns(0)):
         if span.reduce(v) is None:
             chosen.append(v)
             span.add(v)
@@ -411,24 +419,44 @@ def test_map_basis_and_columns_match_reference(ex_g3, ex_g4):
 
 
 def test_hom_complex_scans_summand_pairs_once(ex_g3, ex_g4, monkeypatch):
-    calls = []
-    original = kom.map_basis
+    # a witness solve scans the summand pairs once; the retracts reduce
+    # each distinct dst summand's column once and scan no pairs
+    scans, reduced = [], []
+    scan, reduce = kom.map_basis, kom._retract
 
-    def counted(src, dst):
-        calls.append((src, dst))
-        return original(src, dst)
+    def counted_scan(src, dst):
+        scans.append((src, dst))
+        return scan(src, dst)
 
-    monkeypatch.setattr(kom, "map_basis", counted)
+    def counted_reduce(tight, src_in):
+        reduced.append(tight)
+        return reduce(tight, src_in)
+
+    monkeypatch.setattr(kom, "map_basis", counted_scan)
+    monkeypatch.setattr(kom, "_retract", counted_reduce)
     a, b = functor.build_F(ex_g3), functor.build_F(ex_g4)
-    hc = HomComplex(a, b)
-    assert hc.degrees
-    for k in range(min(hc.degrees) - 2, max(hc.degrees) + 3):
-        hc.basis(k), hc.columns(k), hc.dim(k)
-    assert calls == [(a, b)]
-    calls.clear()
+    f = functor.F_of_morphism(ex_g3, ex_g4)
+    assert f.entries
+    assert find_homotopy(f, zero_map(a, b, f.k)) is None
+    assert scans == [(a, b)]
+    scans.clear()
+    assert equivalent(a, a)
+    assert len(scans) == 1
+    scans.clear()
+
+    retracts = kom.column_retracts(a)
+    comp = homs.component(4, 2)
+    rows = [comp.tight_row(comp.id(s.gamma)) for s in a.summands]
+    columns = {comp.id(s.gamma) for s in b.summands + a.summands}
+    tight = {x for x in columns if any(row >> x & 1 for row in rows)}
+    for dst in (b, a, b, a):
+        kom.hom_by_degree_from(retracts, dst)
+        kom.hom_total_from(retracts, dst)
+    assert not kom.is_nullhomotopic_from(retracts, f)
+    assert len(reduced) == len(tight)
     hom_by_degree(a, b)
-    is_nullhomotopic(functor.F_of_morphism(ex_g3, ex_g4))
-    assert len(calls) == 2
+    is_nullhomotopic(f)
+    assert scans == []
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -576,3 +604,49 @@ def test_summand_ids_are_looked_up_again_in_a_rebuilt_component():
         assert [hom_by_degree(a, b) for a in images for b in images] == want
     finally:
         homs.component.cache_clear()
+
+
+# --- witnesses and chain-map validation -----------------------------------------
+
+
+def _square_pairs(g):
+    """(lhs, rhs) for each disjoint-pair square and rotation of g, as the
+    triangles suite compares them."""
+    for a, b in itertools.combinations(bypass.enumerate_bypasses(g), 2):
+        fa, fb = functor.chain_map_F(a), functor.chain_map_F(b)
+        ga, gb = bypass.attach(g, a), bypass.attach(g, b)
+        for sq in bypass.commuting_squares(a, b):
+            if sq.after_a and sq.after_b:
+                yield compose(fa, functor.chain_map_F(sq.after_a)), compose(fb, functor.chain_map_F(sq.after_b))
+            elif sq.after_a and bypass.attach(ga, sq.after_a) == gb:
+                yield compose(fa, functor.chain_map_F(sq.after_a)), fb
+            elif sq.after_b and bypass.attach(gb, sq.after_b) == ga:
+                yield compose(fb, functor.chain_map_F(sq.after_b)), fa
+
+
+@pytest.mark.parametrize("n,e", pairs_up_to(4))
+def test_find_homotopy_returns_a_homotopy(n, e):
+    solved = 0
+    for g in enumerate_objects(n, e):
+        for f, g2 in _square_pairs(g):
+            h = find_homotopy(f, g2)
+            if h is None:
+                continue
+            assert (h.src, h.dst, h.k) == (f.src, f.dst, f.k - 1)
+            assert h.entries <= {(i, j) for k, i, j in kom.map_basis(f.src, f.dst) if k == f.k - 1}
+            dh = kom._compose_entries(f.src.d, h.entries, f.src, f.dst)
+            hd = kom._compose_entries(h.entries, f.dst.d, f.src, f.dst)
+            assert dh ^ hd == f.entries ^ g2.entries
+            solved += bool(h.entries)
+    if (n, e) == (4, 2):
+        assert solved
+
+
+def test_verify_chain_map_rejects_out_of_range_entries():
+    # a negative index used to wrap around and one past the end to raise
+    maps = (functor.chain_map_F(mv) for g in enumerate_objects(3, 1) for mv in bypass.enumerate_bypasses(g))
+    f = next(f for f in maps if (1, 0) in f.entries)
+    assert verify_chain_map(f)
+    for bad in ((-1, 0), (f.src.size, 0), (1, -1), (1, f.dst.size)):
+        entries = (f.entries - {(1, 0)}) | {bad}
+        assert not verify_chain_map(ChainMap(f.src, f.dst, f.k, entries))
