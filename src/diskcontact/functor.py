@@ -619,3 +619,16 @@ def F_of_morphism(g: DividingSet, g2: DividingSet) -> ChainMap:
     for mv in chain[1:]:
         f = compose(f, chain_map_F(mv))
     return f
+
+
+def F_of_walk(F: Complex, steps: tuple, products: dict) -> ChainMap:
+    """F_of_morphism's product along homs.walk_chain steps from the object
+    whose image is F.  `products`, a tree of dicts keyed by stage id (a
+    walk takes the first move onto its next stage), shares prefixes."""
+    f, node = None, products
+    for t, mv in steps:
+        if t not in node:
+            b = chain_map_F(mv)
+            node[t] = (b if f is None else compose(f, b), {})
+        f, node = node[t]
+    return identity_map(F) if f is None else f

@@ -130,7 +130,12 @@ def composition_nonzero_right(g: DividingSet, g2: DividingSet, g3: DividingSet) 
 
 
 def bypass_chain(g: DividingSet, g2: DividingSet) -> Optional[tuple[BypassMove, ...]]:
-    """Shortest bypass chain from g to g2 through stages with hom into g2."""
+    """Shortest bypass chain from g to g2 through stages with hom into g2.
+
+    The search keeps the first discoverer of each stage and scans
+    `Component.successors` in order, so the chain is the first shortest
+    one in successor order: the one `walk_chain` reads off the distances.
+    """
     _check_same_component(g, g2)
     if g == g2:
         return ()
@@ -145,6 +150,55 @@ def bypass_chain(g: DividingSet, g2: DividingSet) -> Optional[tuple[BypassMove, 
         node, move = prev[node]
         chain.append(move)
     return tuple(reversed(chain))
+
+
+def bypass_predecessors(comp: Component) -> list[list[int]]:
+    """For each id t, the ids with a nontrivial bypass onto t."""
+    preds: list[list[int]] = [[] for _ in comp.ids()]
+    for x in comp.ids():
+        for t, _ in comp.successors(x):
+            preds[t].append(x)
+    return preds
+
+
+def bypass_distances(comp: Component, preds: list[list[int]], j: int) -> bytearray:
+    """d[x] = length of the shortest bypass chain from x to j through
+    stages X with Hom(X, j) != 0, by id; 255 where there is none."""
+    into = comp.hom_in(j)
+    d = bytearray(b"\xff") * len(preds)
+    d[j] = 0
+    frontier, step = [j], 0
+    while frontier:
+        step += 1
+        assert step < 255, "bypass distance does not fit in a byte"
+        reached = []
+        for x in frontier:
+            for p in preds[x]:
+                if d[p] == 255 and into >> p & 1:
+                    d[p] = step
+                    reached.append(p)
+        frontier = reached
+    return d
+
+
+def walk_chain(
+    comp: Component, i: int, j: int, d: bytearray
+) -> tuple[tuple[int, BypassMove], ...]:
+    """bypass_chain from i to j as (stage id, move) steps, read from j's
+    bypass_distances: from each stage, the first successor one step closer."""
+    steps = []
+    while d[i]:
+        closer = d[i] - 1
+        for t, mv in comp.successors(i):
+            if d[t] == closer:
+                break
+        else:
+            raise ValueError(f"no bypass from stage {i} one step closer to {j}")
+        steps.append((t, mv))
+        i = t
+    if i != j:
+        raise ValueError(f"the walk to {j} ends at {i}")
+    return tuple(steps)
 
 
 @lru_cache(maxsize=8)
@@ -179,7 +233,9 @@ class Component:
     anchor from the whole hom table.  The point calls
     (`composition_nonzero`, `composition_nonzero_right`, `bypass_chain`)
     run `_bypass_search` from one start, stop at their target and keep
-    nothing.
+    nothing.  Only the exhaustive faithful table runs the per-target
+    reverse search (`bypass_distances`) and keeps its distances, for
+    that table's run alone.
 
     Four unbounded caches stay outside: divset's `enumerate_objects` and
     `basic_sets` hold one entry per (n, e), `divset._basic` the one

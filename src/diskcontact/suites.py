@@ -505,21 +505,24 @@ def suite_faithful(n: int, e: int) -> SuiteReport:
                     return {"ds": ds_to_json(g), "move": _move_json(mv)}
 
     def full_table():
-        # the filled hom_in rows also feed the stage filter of bypass_chain;
-        # one source's column retracts serve its whole row
+        # one source's column retracts and products along its walks serve
+        # its whole row; each target's distances serve its whole column
         comp = homs.component(n, e)
         ids = comp.ids()
         images = [functor.build_F(g) for g in objs]
-        row = list(zip(objs, map(comp.hom_in, ids), images))
+        preds = homs.bypass_predecessors(comp)
+        dists = [homs.bypass_distances(comp, preds, j) for j in ids]
+        row = list(zip(objs, ids, map(comp.hom_in, ids), images, dists))
         for g, i, F in zip(objs, ids, images):
             retracts = kom.column_retracts(F)
-            for g2, into, F2 in row:
+            products: dict = {}
+            for g2, j, into, F2, dist in row:
                 want = into >> i & 1
                 got = kom.hom_total_from(retracts, F2)
                 if got != want:
                     return {"src": ds_to_json(g), "dst": ds_to_json(g2), "got": got}
                 if want:
-                    f = functor.F_of_morphism(g, g2)
+                    f = functor.F_of_walk(F, homs.walk_chain(comp, i, j, dist), products)
                     if kom.is_nullhomotopic_from(retracts, f):
                         return {"src": ds_to_json(g), "dst": ds_to_json(g2), "null": True}
 

@@ -169,6 +169,26 @@ def test_F_of_morphism_starts_from_the_first_bypass_map():
             assert f == ref and f.src is functor.build_F(g)
 
 
+@pytest.mark.parametrize("n,e", [(4, 2), (5, 2)])
+def test_table_tests_the_maps_F_of_morphism_builds(monkeypatch, n, e):
+    tested = []
+    original = kom.is_nullhomotopic_from
+
+    def record(retracts, f):
+        tested.append(f)
+        return original(retracts, f)
+
+    monkeypatch.setattr(kom, "is_nullhomotopic_from", record)
+    assert _table_check(n, e).ok
+    objs = enumerate_objects(n, e)
+    pairs = [(g, g2) for g, g2 in itertools.product(objs, repeat=2) if homs.hom_nonzero(g, g2)]
+    assert len(tested) == len(pairs)
+    for f, (g, g2) in zip(tested, pairs):
+        ref = functor.F_of_morphism(g, g2)
+        assert f.entries == ref.entries and f.k == ref.k and f.src is ref.src
+        assert f.dst == ref.dst
+
+
 # ---------------------------------------------------------------------------
 # mutations
 
@@ -200,16 +220,29 @@ def test_faithful_table_catches_a_zero_image(monkeypatch):
     objs = enumerate_objects(n, e)
     nonzero = [(g, g2) for g, g2 in itertools.product(objs, repeat=2) if g != g2 and homs.hom_nonzero(g, g2)]
     g, g2 = nonzero[len(nonzero) // 2]
-    original = functor.F_of_morphism
+    comp = homs.component(n, e)
+    src, j = functor.build_F(g), comp.id(g2)
+    original_walk, original = functor.F_of_walk, functor.F_of_morphism
+    zeroed = []
+
+    def mutated_walk(F, steps, products):
+        f = original_walk(F, steps, products)
+        if F is src and steps and steps[-1][0] == j:
+            zeroed.append(f)
+            return kom.zero_map(f.src, f.dst, f.k)
+        return f
 
     def mutated(a, b):
         f = original(a, b)
         return kom.zero_map(f.src, f.dst, f.k) if (a, b) == (g, g2) else f
 
-    monkeypatch.setattr(functor, "F_of_morphism", mutated)
+    # the table builds its maps along the distance walks only
+    monkeypatch.setattr(functor, "F_of_walk", mutated_walk)
     check = _table_check(n, e)
+    assert len(zeroed) == 1 and zeroed[0] == original(g, g2)
     assert not check.ok
     assert check.counterexample == {"src": ds_to_json(g), "dst": ds_to_json(g2), "null": True}
+    monkeypatch.setattr(functor, "F_of_morphism", mutated)
     assert check.counterexample == _per_pair_table(n, e)
 
 
