@@ -621,14 +621,16 @@ def F_of_morphism(g: DividingSet, g2: DividingSet) -> ChainMap:
     return f
 
 
-def F_of_walk(F: Complex, steps: tuple, products: dict) -> ChainMap:
-    """F_of_morphism's product along homs.walk_chain steps from the object
-    whose image is F.  `products`, a tree of dicts keyed by stage id (a
-    walk takes the first move onto its next stage), shares prefixes."""
-    f, node = None, products
-    for t, mv in steps:
-        if t not in node:
+def F_of_tree(F: Complex, tree: dict) -> dict:
+    """F_of_morphism's map from the root of a homs.bypass_search tree,
+    whose image is F, to each stage of the tree, by stage id.  A stage's
+    map is its parent's composed with the move onto it."""
+    maps: dict = {}
+    for t, step in tree.items():
+        if step is None:
+            maps[t] = identity_map(F)
+        else:
+            parent, mv = step
             b = chain_map_F(mv)
-            node[t] = (b if f is None else compose(f, b), {})
-        f, node = node[t]
-    return identity_map(F) if f is None else f
+            maps[t] = b if tree[parent] is None else compose(maps[parent], b)
+    return maps

@@ -113,7 +113,7 @@ def composition_nonzero(g: DividingSet, g2: DividingSet, g3: DividingSet) -> boo
         return True
     comp = component(g.n, g.e)
     middle = comp.id(g2)
-    return middle in _bypass_search(comp, comp.id(g), comp.id(g3), True, stop=middle)
+    return middle in bypass_search(comp, comp.id(g), comp.id(g3), True, stop=middle)
 
 
 def composition_nonzero_right(g: DividingSet, g2: DividingSet, g3: DividingSet) -> bool:
@@ -126,7 +126,7 @@ def composition_nonzero_right(g: DividingSet, g2: DividingSet, g3: DividingSet) 
         return True
     comp = component(g.n, g.e)
     last = comp.id(g3)
-    return last in _bypass_search(comp, comp.id(g2), comp.id(g), False, stop=last)
+    return last in bypass_search(comp, comp.id(g2), comp.id(g), False, stop=last)
 
 
 def bypass_chain(g: DividingSet, g2: DividingSet) -> Optional[tuple[BypassMove, ...]]:
@@ -134,14 +134,17 @@ def bypass_chain(g: DividingSet, g2: DividingSet) -> Optional[tuple[BypassMove, 
 
     The search keeps the first discoverer of each stage and scans
     `Component.successors` in order, so the chain is the first shortest
-    one in successor order: the one `walk_chain` reads off the distances.
+    one in successor order.  It is also the path to g2 in the tree that
+    bypass_search grows from g, with no stop, inside
+    T(g) = {X : Hom(g, X) != 0} (checked on every nonzero pair with
+    n <= 8); the faithful table reads its maps off that tree.
     """
     _check_same_component(g, g2)
     if g == g2:
         return ()
     comp = component(g.n, g.e)
     start, target = comp.id(g), comp.id(g2)
-    prev = _bypass_search(comp, start, target, True, stop=target)
+    prev = bypass_search(comp, start, target, True, stop=target)
     if target not in prev:
         return None
     chain = []
@@ -150,55 +153,6 @@ def bypass_chain(g: DividingSet, g2: DividingSet) -> Optional[tuple[BypassMove, 
         node, move = prev[node]
         chain.append(move)
     return tuple(reversed(chain))
-
-
-def bypass_predecessors(comp: Component) -> list[list[int]]:
-    """For each id t, the ids with a nontrivial bypass onto t."""
-    preds: list[list[int]] = [[] for _ in comp.ids()]
-    for x in comp.ids():
-        for t, _ in comp.successors(x):
-            preds[t].append(x)
-    return preds
-
-
-def bypass_distances(comp: Component, preds: list[list[int]], j: int) -> bytearray:
-    """d[x] = length of the shortest bypass chain from x to j through
-    stages X with Hom(X, j) != 0, by id; 255 where there is none."""
-    into = comp.hom_in(j)
-    d = bytearray(b"\xff") * len(preds)
-    d[j] = 0
-    frontier, step = [j], 0
-    while frontier:
-        step += 1
-        assert step < 255, "bypass distance does not fit in a byte"
-        reached = []
-        for x in frontier:
-            for p in preds[x]:
-                if d[p] == 255 and into >> p & 1:
-                    d[p] = step
-                    reached.append(p)
-        frontier = reached
-    return d
-
-
-def walk_chain(
-    comp: Component, i: int, j: int, d: bytearray
-) -> tuple[tuple[int, BypassMove], ...]:
-    """bypass_chain from i to j as (stage id, move) steps, read from j's
-    bypass_distances: from each stage, the first successor one step closer."""
-    steps = []
-    while d[i]:
-        closer = d[i] - 1
-        for t, mv in comp.successors(i):
-            if d[t] == closer:
-                break
-        else:
-            raise ValueError(f"no bypass from stage {i} one step closer to {j}")
-        steps.append((t, mv))
-        i = t
-    if i != j:
-        raise ValueError(f"the walk to {j} ends at {i}")
-    return tuple(steps)
 
 
 @lru_cache(maxsize=8)
@@ -227,15 +181,15 @@ class Component:
     hom row or a composition mask covers the whole component, so asking
     for one enumerates it.
 
-    The composition masks (`middles`, `middles_right`, `sources`,
-    `targets`) read one transitive closure of the bypass graph induced
-    on an anchor's kept stages, forward or reversed, built once per
-    anchor from the whole hom table.  The point calls
-    (`composition_nonzero`, `composition_nonzero_right`, `bypass_chain`)
-    run `_bypass_search` from one start, stop at their target and keep
-    nothing.  Only the exhaustive faithful table runs the per-target
-    reverse search (`bypass_distances`) and keeps its distances, for
-    that table's run alone.
+    Reachability has two mechanisms.  The composition masks
+    (`middles`, `middles_right`, `sources`, `targets`) read one
+    transitive closure of the bypass graph induced on an anchor's kept
+    stages, forward or reversed, built once per anchor from the whole
+    hom table.  Every chain comes from `bypass_search`, which keeps
+    nothing: the point calls (`composition_nonzero`,
+    `composition_nonzero_right`, `bypass_chain`) run it from one start
+    and stop at their target, and the faithful table runs it once per
+    source with no stop.
 
     Four unbounded caches stay outside: divset's `enumerate_objects` and
     `basic_sets` hold one entry per (n, e), `divset._basic` the one
@@ -447,7 +401,7 @@ class Component:
         return closure
 
     def _reached(self, start: int, anchor: int, into: bool) -> int:
-        """Mask of the stages that _bypass_search(self, start, anchor, into)
+        """Mask of the stages that bypass_search(self, start, anchor, into)
         reaches: start, and the closures of its kept successors."""
         closure = self._closure(anchor, into)
         mask = closure.get(start)
@@ -498,7 +452,7 @@ class Component:
         return both & (reached | 1 << j)
 
 
-def _bypass_search(
+def bypass_search(
     comp: Component,
     start: int,
     anchor: int,
@@ -509,7 +463,7 @@ def _bypass_search(
 
     A stage X is kept when Hom(X, anchor) != 0 (into) or Hom(anchor, X) != 0
     (not into).  Maps each reached stage to (previous stage, move), start to
-    None, and returns as soon as stop is reached.
+    None, in discovery order, and returns as soon as stop is reached.
     """
     keep = comp._stage_filter(anchor, into)
     prev: dict = {start: None}

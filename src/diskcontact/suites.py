@@ -505,24 +505,25 @@ def suite_faithful(n: int, e: int) -> SuiteReport:
                     return {"ds": ds_to_json(g), "move": _move_json(mv)}
 
     def full_table():
-        # one source's column retracts and products along its walks serve
-        # its whole row; each target's distances serve its whole column
+        # one source's column retracts and bypass tree serve its whole row
         comp = homs.component(n, e)
+        comp.hom_table()
         ids = comp.ids()
         images = [functor.build_F(g) for g in objs]
-        preds = homs.bypass_predecessors(comp)
-        dists = [homs.bypass_distances(comp, preds, j) for j in ids]
-        row = list(zip(objs, ids, map(comp.hom_in, ids), images, dists))
-        for g, i, F in zip(objs, ids, images):
+        row = list(zip(objs, ids, images))
+        for g, i, F in row:
             retracts = kom.column_retracts(F)
-            products: dict = {}
-            for g2, j, into, F2, dist in row:
-                want = into >> i & 1
+            out = comp.hom_out(i)
+            maps = functor.F_of_tree(F, homs.bypass_search(comp, i, i, False))
+            for g2, j, F2 in row:
+                want = out >> j & 1
                 got = kom.hom_total_from(retracts, F2)
                 if got != want:
                     return {"src": ds_to_json(g), "dst": ds_to_json(g2), "got": got}
                 if want:
-                    f = functor.F_of_walk(F, homs.walk_chain(comp, i, j, dist), products)
+                    f = maps.get(j)
+                    if f is None:
+                        return {"src": ds_to_json(g), "dst": ds_to_json(g2), "reached": False}
                     if kom.is_nullhomotopic_from(retracts, f):
                         return {"src": ds_to_json(g), "dst": ds_to_json(g2), "null": True}
 

@@ -215,35 +215,64 @@ def test_faithful_table_passes_unmutated():
     assert _per_pair_table(4, 2) is None
 
 
-def test_faithful_table_catches_a_zero_image(monkeypatch):
-    n, e = 4, 2
+def _middle_nonzero_pair(n, e):
     objs = enumerate_objects(n, e)
     nonzero = [(g, g2) for g, g2 in itertools.product(objs, repeat=2) if g != g2 and homs.hom_nonzero(g, g2)]
-    g, g2 = nonzero[len(nonzero) // 2]
-    comp = homs.component(n, e)
-    src, j = functor.build_F(g), comp.id(g2)
-    original_walk, original = functor.F_of_walk, functor.F_of_morphism
+    return nonzero[len(nonzero) // 2]
+
+
+def test_faithful_table_catches_a_zero_image(monkeypatch):
+    n, e = 4, 2
+    g, g2 = _middle_nonzero_pair(n, e)
+    src, j = functor.build_F(g), homs.component(n, e).id(g2)
+    original_tree, original = functor.F_of_tree, functor.F_of_morphism
     zeroed = []
 
-    def mutated_walk(F, steps, products):
-        f = original_walk(F, steps, products)
-        if F is src and steps and steps[-1][0] == j:
+    def mutated_tree(F, tree):
+        maps = original_tree(F, tree)
+        if F is src:
+            f = maps[j]
             zeroed.append(f)
-            return kom.zero_map(f.src, f.dst, f.k)
-        return f
+            maps[j] = kom.zero_map(f.src, f.dst, f.k)
+        return maps
 
     def mutated(a, b):
         f = original(a, b)
         return kom.zero_map(f.src, f.dst, f.k) if (a, b) == (g, g2) else f
 
-    # the table builds its maps along the distance walks only
-    monkeypatch.setattr(functor, "F_of_walk", mutated_walk)
+    # the table builds its maps along the bypass trees only
+    monkeypatch.setattr(functor, "F_of_tree", mutated_tree)
     check = _table_check(n, e)
     assert len(zeroed) == 1 and zeroed[0] == original(g, g2)
     assert not check.ok
     assert check.counterexample == {"src": ds_to_json(g), "dst": ds_to_json(g2), "null": True}
     monkeypatch.setattr(functor, "F_of_morphism", mutated)
     assert check.counterexample == _per_pair_table(n, e)
+
+
+def test_faithful_table_catches_a_target_the_tree_misses(monkeypatch):
+    # drop the last stage of one source's tree: a leaf, so the rest of
+    # the tree still builds its maps
+    n, e = 4, 2
+    g, _ = _middle_nonzero_pair(n, e)
+    comp = homs.component(n, e)
+    i = comp.id(g)
+    original = homs.bypass_search
+    missed = []
+
+    def mutated(c, start, anchor, into, stop=None):
+        tree = original(c, start, anchor, into, stop)
+        if (c, start, anchor, into, stop) == (comp, i, i, False, None):
+            missed.append(list(tree)[-1])
+            del tree[missed[-1]]
+        return tree
+
+    monkeypatch.setattr(homs, "bypass_search", mutated)
+    check = _table_check(n, e)
+    assert len(missed) == 1 and missed[0] != i and comp.hom_out(i) >> missed[0] & 1
+    assert not check.ok
+    g2 = comp.objects[missed[0]]
+    assert check.counterexample == {"src": ds_to_json(g), "dst": ds_to_json(g2), "reached": False}
 
 
 def test_faithful_table_catches_a_flipped_tight_bit(monkeypatch):
