@@ -23,9 +23,11 @@ The induced triangle continues with the move (p, q, wall) on the result.
 Moves, their targets and triangles are kept by the component index
 (homs.Component): each object's moves are enumerated once, and
 `enumerate_bypasses`, `attach`, `triangle`, `serre_rotate` and
-`commuting_squares` return the component's interned moves and objects;
-`commuting_squares` finds a transported arc by its chords in the
-target's move table.
+`commuting_squares` return the component's interned moves and objects.
+A target is the source's matching with the endpoints of those three
+chords re-paired (`surgery`), and a rotation moves every point p to p-2
+(`serre_rotate`); both are looked up by matching.  `commuting_squares` finds a transported
+arc by its chords in the target's move table.
 
 Library entry points here trust their DividingSet arguments: they do not
 run divset.validate, and an invalid dividing set gives an undefined
@@ -45,8 +47,8 @@ from .divset import (
     NegRegion,
     NestVector,
     chord_key,
+    Matching,
     far_side_labels,
-    from_partition,
     geometry,
     side_containing,
 )
@@ -186,20 +188,13 @@ def find_moves(ds: DividingSet) -> list[BypassMove]:
     return sorted(set(moves), key=lambda b: (b.uv, b.ov, b.x, b.y, b.z))
 
 
-def surgery(move: BypassMove) -> DividingSet:
-    """The dividing set after the attachment, built from its partition; the
-    component index keeps its interned instance, and callers read attach."""
-    left = set(move.left_labels)
-    parts = []
-    for v, ls in move.source.components:
-        if v == move.uv:
-            parts.append(left)
-            continue
-        if v == move.ov:
-            parts.append(set(ls) | set(move.right_labels))
-            continue
-        parts.append(set(ls))
-    return from_partition(move.source.n, move.source.e, parts)
+def surgery(move: BypassMove, m: Matching) -> Matching:
+    """The source's matching m with the entry, exit and target chords
+    re-paired as (wall, p, q); callers read attach."""
+    out = list(m)
+    for a, b in _surgery(move):
+        out[a], out[b] = b, a
+    return tuple(out)
 
 
 def _move_id(ds: DividingSet, move: BypassMove) -> tuple[Component, int]:
@@ -210,7 +205,7 @@ def _move_id(ds: DividingSet, move: BypassMove) -> tuple[Component, int]:
 
 
 def attach(ds: DividingSet, move: BypassMove) -> DividingSet:
-    """The dividing set after the bypass attachment."""
+    """The dividing set after the bypass attachment, found by its matching."""
     comp, m = _move_id(ds, move)
     return comp.objects[comp.target(m)]
 
@@ -264,10 +259,13 @@ def triangle(ds: DividingSet, move: BypassMove) -> Triangle:
 
 
 def serre_rotate(ds: DividingSet) -> DividingSet:
-    """Rotation by one positive arc: every label s becomes s-1 mod n+1."""
-    n1 = ds.n + 1
-    parts = [{(s - 1) % n1 for s in ls} for _, ls in ds.components]
-    return component(ds.n, ds.e).intern(from_partition(ds.n, ds.e, parts))
+    """Rotation by one positive arc: every label s becomes s-1 mod n+1,
+    so the rotated matching is m'[p] = m[p+2] - 2 (mod 2n+2)."""
+    comp = component(ds.n, ds.e)
+    m = comp.matchings[comp.id(ds)]
+    size = len(m)
+    rotated = tuple((m[(p + 2) % size] - 2) % size for p in range(size))
+    return comp.objects[comp.matching_id(rotated)]
 
 
 def _nonbasic_outer_data(ds: DividingSet) -> tuple[NestVector, Geometry, NegRegion]:

@@ -24,9 +24,10 @@ Conventions, fixed once and used by every other module:
   Chords are oriented in walk direction; the unordered pair is the chord
   key used to match chords across the two faces they separate.
 
-Tree form and matching form are interconvertible (`to_matching`,
-`from_matching`); the tree drives the algebra, the matching drives curve
-counts and bypass surgery.
+The tree form (`DividingSet`) drives the algebra; the matching form, m[p]
+the point paired with p, drives curve counts, and bypass surgery and
+rotation edit a few of its entries.  `to_matching` encodes a tree, and
+`from_matching`, one stack scan over the labels, is the one decoder.
 """
 
 from __future__ import annotations
@@ -252,55 +253,14 @@ def to_matching(ds: DividingSet) -> Matching:
     return tuple(m)
 
 
-def from_partition(n: int, e: int, parts: Iterable[Iterable[int]]) -> DividingSet:
-    """Rebuild the nesting tree from the label-set partition of R_+.
-
-    The partition of a valid dividing set determines the tree: a component
-    nests inside another exactly when it fits in one of its internal gaps
-    (for the based component, also the final gap up to n+1); the direct
-    parent is the innermost such, and siblings are numbered by ascending
-    minimum label.
-    """
-    sets = [tuple(sorted(p)) for p in parts]
-    based = next(p for p in sets if 0 in p)
-
-    def gap_of(child: tuple, cand: tuple) -> Optional[tuple[int, int]]:
-        gaps = list(zip(cand, cand[1:]))
-        if cand == based:
-            gaps.append((cand[-1], n + 1))
-        for a, b in gaps:
-            if a < child[0] and child[-1] < b:
-                return (a, b)
-        return None
-
-    def parent_of(child: tuple) -> tuple:
-        best, best_span = based, (-1, n + 1)
-        for cand in sets:
-            if cand is child or cand == based:
-                continue
-            g = gap_of(child, cand)
-            if g and (g[1] - g[0]) < (best_span[1] - best_span[0]):
-                best, best_span = cand, g
-        return best
-
-    children: dict[tuple, list[tuple]] = {p: [] for p in sets}
-    for p in sets:
-        if p != based:
-            children[parent_of(p)].append(p)
-
-    comps: dict[NestVector, tuple[int, ...]] = {}
-
-    def assign(v: NestVector, labels: tuple) -> None:
-        comps[v] = labels
-        for t, ch in enumerate(sorted(children[labels]), start=1):
-            assign(v + (t,), ch)
-
-    assign(STAR, based)
-    return DividingSet.make(n, e, comps)
-
-
 def from_matching(m: Matching, n: int, e: int) -> DividingSet:
-    """Decode a crossingless matching on 2n+2 points into its nesting tree."""
+    """Decode a crossingless matching on 2n+2 points into its nesting tree.
+
+    The positive faces are the label blocks.  A left-to-right scan over
+    the labels keeps a stack of the open blocks (open up to their largest
+    label; the based block up to n+1): a new block's parent is the open
+    block on top, and siblings are numbered in the order they are met.
+    """
     if len(m) != 2 * n + 2 or not is_crossingless_matching(m):
         raise EulerMismatch("not a crossingless matching on 2n+2 points")
     faces = positive_faces(m)
@@ -308,7 +268,25 @@ def from_matching(m: Matching, n: int, e: int) -> DividingSet:
         raise EulerMismatch(
             f"matching has {len(faces)} positive components, expected {n - e + 1}"
         )
-    ds = from_partition(n, e, faces)
+    block = [0] * (n + 1)
+    for b, face in enumerate(faces):
+        for s in face:
+            block[s] = b
+    closes = [max(face) for face in faces]
+    closes[block[0]] = n + 1
+    vectors: list[Optional[NestVector]] = [None] * len(faces)
+    vectors[block[0]] = STAR
+    children = [0] * len(faces)
+    stack = [block[0]]
+    for s in range(1, n + 1):
+        while closes[stack[-1]] < s:
+            stack.pop()
+        b, top = block[s], stack[-1]
+        if vectors[b] is None:
+            children[top] += 1
+            vectors[b] = vectors[top] + (children[top],)
+            stack.append(b)
+    ds = DividingSet.make(n, e, dict(zip(vectors, faces)))
     if to_matching(ds) != tuple(m):
         raise EulerMismatch("matching is not realized by its face partition")
     return ds
@@ -338,14 +316,15 @@ def noncrossing_matchings(n: int) -> Iterator[Matching]:
 
 @lru_cache(maxsize=None)  # one entry per (n, e): at most 45 under --max-n 8
 def enumerate_objects(n: int, e: int) -> tuple[DividingSet, ...]:
-    """All dividing sets of the (n, e) component, ordered by their matching."""
+    """All dividing sets of the (n, e) component, ordered by their matching
+    (noncrossing_matchings yields the matchings in lexicographic order)."""
     if not 0 <= e <= n:
         raise EulerMismatch(f"need 0 <= e <= n, got e={e}, n={n}")
     out = []
     for m in noncrossing_matchings(n):
         if len(positive_faces(m)) == n - e + 1:
             out.append(from_matching(m, n, e))
-    return tuple(sorted(out, key=to_matching))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,8 @@ from collections import deque
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
-from .divset import DividingSet, Matching, basic_of, basic_sets, enumerate_objects, to_matching
+from .divset import DividingSet, Matching, basic_of, basic_sets, enumerate_objects
+from .divset import from_matching, to_matching
 from .errors import ComponentMismatch, NotBasic
 
 # bypass, functor and kom import this module, so it imports from them
@@ -167,9 +168,11 @@ class Component:
     Objects get integer ids on first use, so a point query interns only
     the objects it touches, and every object the library builds inside
     the component (an attach target, a triangle vertex, a rotation) is
-    returned as the interned instance.  Moves are interned the same way,
-    with their own ids.  A mask is an int whose bit i stands for the
-    object with id i.
+    returned as the interned instance.  An id is found by address, by
+    equality or by matching; attach targets and rotations are found by
+    matching, so only a new matching is decoded.  Moves are interned the
+    same way, with their own ids, found by address or by equality.  A
+    mask is an int whose bit i stands for the object with id i.
 
     Kept here, filled on demand and dropped with the component when
     `component` evicts it: the bypass moves of each object with their
@@ -206,10 +209,12 @@ class Component:
         self.matchings: list[Matching] = []
         self._ids: dict[DividingSet, int] = {}
         self._by_address: dict[int, int] = {}
+        self._by_matching: dict[Matching, int] = {}
         self._order: Optional[list[int]] = None
         # moves get ids too, on first use; a move's target is filled when asked
         self.move_list: list[BypassMove] = []
         self._move_ids: dict[BypassMove, int] = {}
+        self._move_by_address: dict[int, int] = {}
         self._targets: list[Optional[int]] = []
         self._moves: dict[int, tuple[BypassMove, ...]] = {}  # object id -> its moves
         self._move_table: dict[int, dict[int, int]] = {}  # object id -> chord code -> move id
@@ -235,11 +240,23 @@ class Component:
         if i is None:
             i = self._ids.get(g)
             if i is None:
-                if g.is_basic():
-                    g = basic_of(g.n, g.e, g.star)
-                i = self._ids[g] = self._by_address[id(g)] = len(self.objects)
-                self.objects.append(g)
-                self.matchings.append(to_matching(g))
+                i = self._add(g, to_matching(g))
+        return i
+
+    def matching_id(self, m: Matching) -> int:
+        """The id of the object whose matching is m; only a matching not
+        seen before is decoded (divset.from_matching)."""
+        i = self._by_matching.get(m)
+        if i is None:
+            i = self._add(from_matching(m, self.n, self.e), m)
+        return i
+
+    def _add(self, g: DividingSet, m: Matching) -> int:
+        if g.is_basic():
+            g = basic_of(g.n, g.e, g.star)
+        i = self._ids[g] = self._by_address[id(g)] = self._by_matching[m] = len(self.objects)
+        self.objects.append(g)
+        self.matchings.append(m)
         return i
 
     def intern(self, g: DividingSet) -> DividingSet:
@@ -254,20 +271,23 @@ class Component:
 
     def move_id(self, move: BypassMove) -> int:
         """The id of the move, interned on first use with the interned
-        source; raises InvalidMove unless it is a nontrivial bypass."""
-        m = self._move_ids.get(move)
+        source; raises InvalidMove unless it is a nontrivial bypass.  As in
+        id, move_list keeps interned moves alive for the address lookup."""
+        m = self._move_by_address.get(id(move))
         if m is None:
-            from .bypass import validate_move
+            m = self._move_ids.get(move)
+            if m is None:
+                from .bypass import validate_move
 
-            validate_move(move)
-            m = self._add_move(move)
+                validate_move(move)
+                m = self._add_move(move)
         return m
 
     def _add_move(self, move: BypassMove) -> int:
         source = self.intern(move.source)
         if source is not move.source:
             move = dataclasses.replace(move, source=source)
-        m = self._move_ids[move] = len(self.move_list)
+        m = self._move_ids[move] = self._move_by_address[id(move)] = len(self.move_list)
         self.move_list.append(move)
         self._targets.append(None)
         return m
@@ -278,7 +298,9 @@ class Component:
         if t is None:
             from .bypass import surgery
 
-            t = self._targets[m] = self.id(surgery(self.move_list[m]))
+            move = self.move_list[m]
+            edited = surgery(move, self.matchings[self.id(move.source)])
+            t = self._targets[m] = self.matching_id(edited)
         return t
 
     def moves(self, i: int) -> tuple[BypassMove, ...]:

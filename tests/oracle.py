@@ -1,17 +1,26 @@
-"""The per-pair Hom-complex: the slow reference for the column retracts.
+"""Slow references that the tests compare the library against.
 
 `HomComplex(src, dst)` builds the graded complex of module maps with
 D(f) = d_dst.f + f.d_src on the single-entry basis that `kom.map_basis`
 lists, and reads dimensions off GF(2) ranks of D.  The library answers
 every hom dimension and nullhomotopy question from per-source column
 retracts instead; the tests compare the two.
+
+`from_partition` rebuilds a nesting tree from its label partition by
+scanning the gaps of every candidate parent, and `surgery` and
+`serre_rotate` build an attach target and a rotation from the label
+partition through it.  The library decodes matchings with one stack scan
+(`divset.from_matching`) and finds attach targets and rotations by
+editing the matching.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
 from diskcontact import gf2, kom
+from diskcontact.bypass import BypassMove
+from diskcontact.divset import STAR, DividingSet, NestVector
 
 
 def rank(vectors: Iterable[int]) -> int:
@@ -109,3 +118,73 @@ def is_nullhomotopic(f: kom.ChainMap) -> bool:
         return False
     target = sum(1 << pos[p] for p in f.entries)
     return gf2.solve(hc.columns(f.k - 1), target) is not None
+
+
+def from_partition(n: int, e: int, parts: Iterable[Iterable[int]]) -> DividingSet:
+    """Rebuild the nesting tree from the label-set partition of R_+.
+
+    The partition of a valid dividing set determines the tree: a component
+    nests inside another exactly when it fits in one of its internal gaps
+    (for the based component, also the final gap up to n+1); the direct
+    parent is the innermost such, and siblings are numbered by ascending
+    minimum label.
+    """
+    sets = [tuple(sorted(p)) for p in parts]
+    based = next(p for p in sets if 0 in p)
+
+    def gap_of(child: tuple, cand: tuple) -> Optional[tuple[int, int]]:
+        gaps = list(zip(cand, cand[1:]))
+        if cand == based:
+            gaps.append((cand[-1], n + 1))
+        for a, b in gaps:
+            if a < child[0] and child[-1] < b:
+                return (a, b)
+        return None
+
+    def parent_of(child: tuple) -> tuple:
+        best, best_span = based, (-1, n + 1)
+        for cand in sets:
+            if cand is child or cand == based:
+                continue
+            g = gap_of(child, cand)
+            if g and (g[1] - g[0]) < (best_span[1] - best_span[0]):
+                best, best_span = cand, g
+        return best
+
+    children: dict[tuple, list[tuple]] = {p: [] for p in sets}
+    for p in sets:
+        if p != based:
+            children[parent_of(p)].append(p)
+
+    comps: dict[NestVector, tuple[int, ...]] = {}
+
+    def assign(v: NestVector, labels: tuple) -> None:
+        comps[v] = labels
+        for t, ch in enumerate(sorted(children[labels]), start=1):
+            assign(v + (t,), ch)
+
+    assign(STAR, based)
+    return DividingSet.make(n, e, comps)
+
+
+def surgery(move: BypassMove) -> DividingSet:
+    """The dividing set after the attachment, built from its partition: the
+    left labels stay in uv, and the right labels join ov."""
+    left = set(move.left_labels)
+    parts = []
+    for v, ls in move.source.components:
+        if v == move.uv:
+            parts.append(left)
+            continue
+        if v == move.ov:
+            parts.append(set(ls) | set(move.right_labels))
+            continue
+        parts.append(set(ls))
+    return from_partition(move.source.n, move.source.e, parts)
+
+
+def serre_rotate(ds: DividingSet) -> DividingSet:
+    """Rotation by one positive arc: every label s becomes s-1 mod n+1."""
+    n1 = ds.n + 1
+    parts = [{(s - 1) % n1 for s in ls} for _, ls in ds.components]
+    return from_partition(ds.n, ds.e, parts)

@@ -30,6 +30,7 @@ from diskcontact.divset import (
 from diskcontact.errors import ComponentMismatch, InvalidMove, IsBasic
 from diskcontact.homs import component, hom_nonzero
 
+import oracle
 from conftest import pairs_up_to
 
 
@@ -155,6 +156,21 @@ def test_serre_rotation_order_and_sample(n, e):
         for _ in range(n + 1):
             cur = serre_rotate(cur)
         assert cur == g
+
+
+@pytest.mark.parametrize("n,e", pairs_up_to(7))
+def test_serre_rotate_matches_the_partition_oracle(n, e):
+    comp = component(n, e)
+    for g in enumerate_objects(n, e):
+        assert serre_rotate(g) is comp.intern(oracle.serre_rotate(g))
+
+
+@pytest.mark.parametrize("n,e", pairs_up_to(6) + [(7, 3)])
+def test_attach_matches_the_partition_surgery_oracle(n, e):
+    comp = component(n, e)
+    for g in enumerate_objects(n, e):
+        for mv in enumerate_bypasses(g):
+            assert attach(g, mv) is comp.intern(oracle.surgery(mv))
 
 
 @pytest.mark.parametrize("n,e", pairs_up_to(4))

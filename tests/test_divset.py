@@ -23,6 +23,7 @@ from diskcontact.divset import (
 )
 from diskcontact.errors import BadBase, EulerMismatch, IndexOutOfRange
 
+import oracle
 from conftest import pairs_up_to
 
 
@@ -98,6 +99,20 @@ def test_matchings_roundtrip(n):
         assert is_crossingless_matching(m)
         e = n + 1 - len(positive_faces(m))
         assert to_matching(from_matching(m, n, e)) == m
+
+
+@pytest.mark.parametrize("n,e", pairs_up_to(7))
+def test_enumeration_follows_matching_order(n, e):
+    ms = [to_matching(g) for g in enumerate_objects(n, e)]
+    assert ms == sorted(ms)
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_from_matching_matches_the_gap_scan_oracle(n):
+    for m in noncrossing_matchings(n):
+        faces = positive_faces(m)
+        e = n + 1 - len(faces)
+        assert from_matching(m, n, e) == oracle.from_partition(n, e, faces)
 
 
 def test_positive_negative_face_counts():

@@ -259,6 +259,28 @@ def test_component_interns_the_shared_basic_instance():
         homs.component.cache_clear()
 
 
+def test_matching_index_is_a_bijection_after_the_hom_table():
+    comp = homs.Component(6, 3)
+    comp.hom_table()
+    assert len(comp._by_matching) == len(comp.matchings) == len(comp.objects)
+    for i, m in enumerate(comp.matchings):
+        assert comp._by_matching[m] == i and comp.matching_id(m) == i
+
+
+def test_point_attach_interns_only_the_objects_it_touches():
+    homs.component.cache_clear()
+    try:
+        g = DividingSet.make(
+            8, 4, {STAR: (0, 1, 7), (1,): (2, 6), (1, 1): (3, 5), (1, 1, 1): (4,), (2,): (8,)}
+        )
+        t = bypass.attach(g, bypass.canonical_bypass(g))
+        comp = component(8, 4)
+        assert comp.objects == [g, t] and comp._order is None and not comp._moves
+        assert comp._by_matching == {comp.matchings[0]: 0, comp.matchings[1]: 1}
+    finally:
+        homs.component.cache_clear()
+
+
 @pytest.mark.parametrize("n,e", pairs_up_to(5) + [(6, 2)])
 def test_closures_match_the_bypass_search(n, e):
     # reach from any start, kept or not, and the reversed closure on the
