@@ -65,21 +65,14 @@ from .kom import (
 )
 from .functor import (
     GradedObject,
-    OmittingIndex,
     F_of_morphism,
     build_F,
     canonical_grading_shift,
     chain_map_F,
-    coh_degree,
     deg_F,
-    differential_data,
     gamma_chain_map,
-    gamma_of,
-    index_image,
     lift_F,
     lift_morphism,
-    omitting_indices,
-    split_indices,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -63,11 +63,11 @@ class DividingSet:
         items = tuple(sorted((tuple(v), tuple(sorted(labels))) for v, labels in comps.items()))
         return DividingSet(n, e, items)
 
-    # The label map, the chords, the non-boundary-parallel vectors and the
-    # geometry (see `geometry`) are facts of the dividing set alone, so each
-    # is computed once per instance and kept in its __dict__, as the hash
-    # is.  The component index hands out one interned instance per object,
-    # so these are not computed twice.
+    # The label map, the chords, the non-based and non-boundary-parallel
+    # vectors and the geometry (see `geometry`) are facts of the dividing
+    # set alone, so each is computed once per instance and kept in its
+    # __dict__, as the hash is.  The component index hands out one
+    # interned instance per object, so these are not computed twice.
 
     def labels(self, v: NestVector) -> tuple[int, ...]:
         table = self.__dict__.get("_labels")
@@ -83,7 +83,10 @@ class DividingSet:
     @property
     def tpv(self) -> tuple[NestVector, ...]:
         """Non-based vectors."""
-        return tuple(v for v, _ in self.components if v != STAR)
+        out = self.__dict__.get("_tpv")
+        if out is None:
+            out = self.__dict__["_tpv"] = tuple(v for v, _ in self.components if v != STAR)
+        return out
 
     @property
     def vnb(self) -> tuple[NestVector, ...]:

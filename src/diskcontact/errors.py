@@ -35,7 +35,3 @@ class InvalidMove(DiskContactError):
 
 class ShapeMismatch(DiskContactError):
     """Complexes or chain maps with incompatible shapes."""
-
-
-class IndexNotApplicable(DiskContactError):
-    """Omitting index outside the domain of the index map of a bypass."""

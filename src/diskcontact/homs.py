@@ -37,8 +37,7 @@ from .errors import ComponentMismatch, NotBasic
 # only for type checking and, inside the methods that need them, at call time
 if TYPE_CHECKING:
     from .bypass import BypassMove, Triangle
-    from .functor import FData
-    from .kom import ChainMap
+    from .kom import ChainMap, Complex
 
 
 def _check_same_component(g: DividingSet, g2: DividingSet) -> None:
@@ -179,10 +178,9 @@ class Component:
     targets and, once a move is looked up by its chords, a table from
     their chord triples to their ids (`move_at`), hom rows, tight rows
     (basic objects only), per-anchor reachability closures, and the
-    tables other modules fill: bypass triangles, F-images with their
-    omitting indices, bypass chain maps and induced rotation blocks.  A
-    hom row or a composition mask covers the whole component, so asking
-    for one enumerates it.
+    tables other modules fill: bypass triangles, F-images, bypass chain
+    maps and induced rotation blocks.  A hom row or a composition mask
+    covers the whole component, so asking for one enumerates it.
 
     Reachability has two mechanisms.  The composition masks
     (`middles`, `middles_right`, `sources`, `targets`) read one
@@ -227,7 +225,7 @@ class Component:
         self._closures: dict[tuple[int, bool, bool], dict[int, int]] = {}
         # filled by bypass, functor and kom
         self.triangles: dict[int, Triangle] = {}  # by move id
-        self.f_images: dict[int, FData] = {}  # by object id
+        self.f_images: dict[int, Complex] = {}  # by object id
         self.chain_maps: dict[int, ChainMap] = {}  # by move id
         self.rotation_blocks: dict[tuple[int, int], ChainMap] = {}  # by (src id, dst id)
 
@@ -331,7 +329,7 @@ class Component:
             from .bypass import _move_code
 
             table = self._move_table[i] = {
-                _move_code(mv): self._move_ids[mv] for mv in self.moves(i)
+                _move_code(mv): self.move_id(mv) for mv in self.moves(i)
             }
         return table.get(code)
 
@@ -341,7 +339,7 @@ class Component:
         succ = self._successors.get(i)
         if succ is None:
             succ = self._successors[i] = tuple(
-                (self.target(self._move_ids[mv]), mv) for mv in self.moves(i)
+                (self.target(self.move_id(mv)), mv) for mv in self.moves(i)
             )
         return succ
 

@@ -314,12 +314,16 @@ def suite_functor(n: int, e: int) -> SuiteReport:
 
     def index_split_laws():
         for g in objs:
-            oi = set(functor.omitting_indices(g))
+            every = list(enumerate(functor.index_tuples(g)))
             for mv in bypass.enumerate_bypasses(g):
-                ii, si, kind, lsv, pivot = functor.split_indices(mv)
-                if set(ii) & set(si) or not (ii or si):
+                identity, fixed = functor.index_split(mv)
+                ii = {p for p, t in every if identity(t)}
+                si = set()
+                if fixed is not None:
+                    si = {p for p, t in every if all(t[c] == x for c, x in fixed.items())} - ii
+                if not (ii or si):
                     return {"ds": ds_to_json(g), "move": _move_json(mv)}
-                if 0 in mv.left_labels and (set(ii) != oi or si):
+                if 0 in mv.left_labels and (len(ii) != len(every) or si):
                     return {"ds": ds_to_json(g), "move": _move_json(mv)}
                 if 0 in mv.right_labels and ii:
                     return {"ds": ds_to_json(g), "move": _move_json(mv)}

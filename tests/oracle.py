@@ -12,15 +12,26 @@ scanning the gaps of every candidate parent, and `surgery` and
 partition through it.  The library decodes matchings with one stack scan
 (`divset.from_matching`) and finds attach targets and rotations by
 editing the matching.
+
+The functor one omitting index at a time, as the paper defines it: an
+index is a dict from each non-based vector to the position of its
+omitted label, and `omitting_indices` lists them sorted.  `gamma_of`,
+`coh_degree` and `differential_data` give each summand and its
+differential, `negative_region_differential` one region's partial,
+`split_indices` a bypass's identity and shuffling indices and
+`index_image` where each goes.  The library works on tuples of
+positions instead and reads a summand's place in F(ds) as a mixed-radix
+number (`functor.index_tuples`).
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Optional
 
-from diskcontact import gf2, kom
-from diskcontact.bypass import BypassMove
-from diskcontact.divset import STAR, DividingSet, NestVector
+from diskcontact import functor, gf2, kom
+from diskcontact.bypass import BypassMove, attach
+from diskcontact.divset import STAR, DividingSet, NestVector, basic_of, chord_key, geometry, nesting_sets
 
 
 def rank(vectors: Iterable[int]) -> int:
@@ -188,3 +199,133 @@ def serre_rotate(ds: DividingSet) -> DividingSet:
     n1 = ds.n + 1
     parts = [{(s - 1) % n1 for s in ls} for _, ls in ds.components]
     return from_partition(ds.n, ds.e, parts)
+
+
+# ---------------------------------------------------------------------------
+# omitting indices one at a time
+
+
+def omitting_indices(ds: DividingSet) -> list[dict]:
+    """Every omitting index of ds, built one by one and sorted."""
+    ranges = [range(ds.l(v) + 1) for v in ds.tpv]
+    out = [dict(zip(ds.tpv, t)) for t in itertools.product(*ranges)]
+    return sorted(out, key=lambda idx: sorted(idx.items()))
+
+
+def position(ds: DividingSet, idx: dict) -> int:
+    """The place of idx among the omitting indices; ValueError if none."""
+    return omitting_indices(ds).index(idx)
+
+
+def omitted_labels(ds: DividingSet, idx: dict) -> frozenset[int]:
+    return frozenset(ds.label_at(v, i) for v, i in idx.items())
+
+
+def gamma_of(ds: DividingSet, idx: dict) -> DividingSet:
+    """The basic dividing set omitting one label per non-based component."""
+    return basic_of(ds.n, ds.e, set(range(ds.n + 1)) - omitted_labels(ds, idx))
+
+
+def coh_degree(ds: DividingSet, idx: dict) -> int:
+    """The height h(i), the sum of i + l(NV(v, i)) over the index's entries;
+    summands sit at complex degree -h(i)."""
+    return sum(i + sum(ds.l(w) for w in nesting_sets(ds, v, i)[0]) for v, i in idx.items())
+
+
+def differential_data(ds: DividingSet, idx: dict) -> list[tuple[NestVector, dict]]:
+    """All (vector, modified index) moves out of one omitting index, by
+    vector.  A vector v at position i > 0 moves to i - 1 when every vector
+    of DNV(v, i) sits at 0: sliding when DNV(v, i) is empty, shuffling
+    otherwise, and a shuffling move sends DNV(v, i) to their last labels."""
+    out = []
+    for v, i in sorted(idx.items()):
+        dnv = nesting_sets(ds, v, i)[1]
+        if i > 0 and all(idx[w] == 0 for w in dnv):
+            out.append((v, {**idx, v: i - 1, **{w: ds.l(w) for w in dnv}}))
+    return out
+
+
+def negative_region_differential(ds: DividingSet, region_index: int) -> frozenset:
+    """The partial differential of one negative region.  Every positive
+    component on its rim must be non-based and one not boundary-parallel;
+    an index is admissible when each omits the label at the walk-entry
+    corner of its rim chord, and it goes to the index omitting the rim
+    chords' own labels."""
+    geo = geometry(ds)
+    rim = []
+    for c in geo.neg_regions[region_index].chords:
+        v = geo.comp_of_chord[c]
+        if v == STAR:
+            return frozenset()
+        rim.append((v, [chord_key(ch) for ch in ds.chords(v)].index(c)))
+    if all(ds.l(v) == 0 for v, _ in rim):
+        return frozenset()
+    indices = omitting_indices(ds)
+    return frozenset(
+        (t, indices.index({**idx, **dict(rim)}))
+        for t, idx in enumerate(indices)
+        if all(idx[v] == (j + 1) % (ds.l(v) + 1) for v, j in rim)
+    )
+
+
+def split_indices(move: BypassMove):
+    """(identity indices, shuffling indices, type, LSV, pivot or None).
+    An identity index sits left of the arc: label 0 is left of it when uv
+    is based, else uv's omitted position lies in [[x, y]].  A shuffling
+    index is any other with ov at z and the left shuffling vectors at 0,
+    except a type Z pivot, which sits at its position."""
+    ds = move.source
+    lsv = functor.left_shuffling_vectors(move)
+    kind, wb, kb = functor._shuffling_type(move, lsv)
+
+    def left(idx: dict) -> bool:
+        if 0 in ds.labels(move.uv):
+            return 0 in move.left_labels
+        return idx[move.uv] in move.left_positions
+
+    def shuffling(idx: dict) -> bool:
+        if move.ov == STAR or kind == "none" or left(idx) or idx[move.ov] != move.z:
+            return False
+        want = {w: 0 for w in lsv}
+        if kind == "Z":
+            want[wb] = kb
+        return all(idx[w] == x for w, x in want.items())
+
+    indices = omitting_indices(ds)
+    return (
+        [idx for idx in indices if left(idx)],
+        [idx for idx in indices if shuffling(idx)],
+        kind,
+        lsv,
+        (wb, kb) if kind == "Z" else None,
+    )
+
+
+def index_image(move: BypassMove, idx: dict) -> dict:
+    """The omitting index of the target complex hit by this summand: an
+    identity index omits the same labels after the move.  A shuffling
+    index gives up the labels of ov and of uv, and omits y's label of uv,
+    the last label of each left shuffling vector (the label before its
+    position for a type Z pivot) and, when label 0 is not right of the
+    arc, uv's old label.  Raises ValueError for any other index."""
+    ds = move.source
+    ii, si, kind, lsv, pivot = split_indices(move)
+    if idx in ii:
+        omitted = set(omitted_labels(ds, idx))
+    elif idx in si:
+        lab = {move.uv: ds.label_at(move.uv, move.y)}
+        for w in lsv:
+            lab[w] = ds.label_at(w, ds.l(w))
+        if pivot is not None:
+            lab[pivot[0]] = ds.label_at(pivot[0], pivot[1] - 1)
+        omitted = set(lab.values())
+        omitted.update(ds.label_at(v, i) for v, i in idx.items() if v not in lab and v != move.ov)
+        if 0 not in move.right_labels:
+            omitted.add(ds.label_at(move.uv, idx[move.uv]))
+    else:
+        raise ValueError(f"{idx} is not an identity or shuffling index")
+    target = attach(ds, move)
+    hits = [(v, i) for v in target.tpv for i, s in enumerate(target.labels(v)) if s in omitted]
+    image = dict(hits)
+    assert len(hits) == len(image) == len(target.tpv), (target, omitted)
+    return image
