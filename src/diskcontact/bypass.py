@@ -26,7 +26,8 @@ Moves, their targets and triangles are kept by the component index
 `commuting_squares` return the component's interned moves and objects.
 A target is the source's matching with the endpoints of those three
 chords re-paired (`surgery`), and a rotation moves every point p to p-2
-(`serre_rotate`); both are looked up by matching.  `commuting_squares` finds a transported
+(`serre_rotate`, which reads `Component.rotate`); both are looked up by
+matching.  `commuting_squares` finds a transported
 arc by its chords in the target's move table.
 
 Library entry points here trust their DividingSet arguments: they do not
@@ -259,13 +260,10 @@ def triangle(ds: DividingSet, move: BypassMove) -> Triangle:
 
 
 def serre_rotate(ds: DividingSet) -> DividingSet:
-    """Rotation by one positive arc: every label s becomes s-1 mod n+1,
-    so the rotated matching is m'[p] = m[p+2] - 2 (mod 2n+2)."""
+    """Rotation by one positive arc: every label s becomes s-1 mod n+1
+    (`homs.Component.rotate`)."""
     comp = component(ds.n, ds.e)
-    m = comp.matchings[comp.id(ds)]
-    size = len(m)
-    rotated = tuple((m[(p + 2) % size] - 2) % size for p in range(size))
-    return comp.objects[comp.matching_id(rotated)]
+    return comp.objects[comp.rotate(comp.id(ds))]
 
 
 def _nonbasic_outer_data(ds: DividingSet) -> tuple[NestVector, Geometry, NegRegion]:

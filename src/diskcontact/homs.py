@@ -176,18 +176,31 @@ class Component:
     Kept here, filled on demand and dropped with the component when
     `component` evicts it: the bypass moves of each object with their
     targets and, once a move is looked up by its chords, a table from
-    their chord triples to their ids (`move_at`), hom rows, tight rows
-    (basic objects only), per-anchor reachability closures, and the
-    tables other modules fill: bypass triangles, F-images, bypass chain
-    maps and induced rotation blocks.  A hom row or a composition mask
-    covers the whole component, so asking for one enumerates it.
+    their chord triples to their ids (`move_at`), each object's rotation
+    (`rotate`), hom rows, tight rows (basic objects only), reachability
+    closures of orbit representatives, and the tables other modules
+    fill: bypass triangles, F-images, bypass chain maps and induced
+    rotation blocks.  A hom row or a composition mask covers the whole
+    component, so asking for one enumerates it.
+
+    The rotation σ (`rotate`, the paper's Serre functor on objects) has
+    order n+1, and the exhaustive tables use it.  Each orbit is
+    represented by its first object in `ids` order (`representatives`).
+    σ conjugates the curve-count permutation by a shift of two, so
+    Hom(σi, σj) = Hom(i, j): `hom_table` counts curves for the
+    representative rows only and relabels each other row through σ^t.
+    Bypass targets rotate with their source (`homs.rotation_equivariant`
+    checks this on every object), so an anchor's kept stages and the
+    bypass graph on them are σ^t of its representative's, and a closure
+    is built for representative anchors only; `_closure_at` reads any
+    anchor's mask by relabeling, and stores nothing.
 
     Reachability has two mechanisms.  The composition masks
     (`middles`, `middles_right`, `sources`, `targets`) read one
     transitive closure of the bypass graph induced on an anchor's kept
-    stages, forward or reversed, built once per anchor from the whole
-    hom table.  Every chain comes from `bypass_search`, which keeps
-    nothing: the point calls (`composition_nonzero`,
+    stages, forward or reversed, built once per representative anchor
+    from the whole hom table.  Every chain comes from `bypass_search`,
+    which keeps nothing: the point calls (`composition_nonzero`,
     `composition_nonzero_right`, `bypass_chain`) run it from one start
     and stop at their target, and the faithful table runs it once per
     source with no stop.
@@ -220,8 +233,11 @@ class Component:
         self._out: dict[int, int] = {}  # i -> mask of j with Hom(i, j) != 0
         self._in: dict[int, int] = {}  # j -> mask of i with Hom(i, j) != 0
         self._tight: dict[int, int] = {}  # basic i -> mask of basic j, tight_basic(i, j)
-        # (anchor, into, reverse) -> kept stage -> mask of the kept stages
-        # it reaches (or that reach it, if reverse); see _closure
+        self._rotated: dict[int, int] = {}  # i -> id of σi
+        # (representative, shift, powers) once the component is enumerated; see _orbits
+        self._orbit_table: Optional[tuple[list[int], list[int], list[list[int]]]] = None
+        # (representative anchor, into, reverse) -> kept stage -> mask of the
+        # kept stages it reaches (or that reach it, if reverse); see _closure
         self._closures: dict[tuple[int, bool, bool], dict[int, int]] = {}
         # filled by bypass, functor and kom
         self.triangles: dict[int, Triangle] = {}  # by move id
@@ -343,6 +359,41 @@ class Component:
             )
         return succ
 
+    def rotate(self, i: int) -> int:
+        """Id of σi, the rotation by one positive arc: every label s becomes
+        s-1 mod n+1, so the rotated matching is m'[p] = m[p+2] - 2 (mod 2n+2)."""
+        r = self._rotated.get(i)
+        if r is None:
+            m = self.matchings[i]
+            size = len(m)
+            rotated = tuple((m[(p + 2) % size] - 2) % size for p in range(size))
+            r = self._rotated[i] = self.matching_id(rotated)
+        return r
+
+    def _orbits(self) -> tuple[list[int], list[int], list[list[int]]]:
+        """(rep, shift, powers): object x is σ^shift[x] of rep[x], the first
+        object of its orbit in ids() order, and powers[t][x] is σ^t x for
+        t in 0..n, so powers[-t] is σ^-t."""
+        if self._orbit_table is None:
+            ids = self.ids()
+            sigma = [self.rotate(i) for i in range(len(ids))]
+            powers = [list(range(len(ids)))]
+            for _ in range(self.n):
+                powers.append([sigma[x] for x in powers[-1]])
+            rep, shift = [-1] * len(ids), [0] * len(ids)
+            for i in ids:
+                x, t = i, 0
+                while rep[x] < 0:
+                    rep[x], shift[x] = i, t
+                    x, t = sigma[x], t + 1
+            self._orbit_table = rep, shift, powers
+        return self._orbit_table
+
+    def representatives(self) -> list[int]:
+        """The first object of each rotation orbit, in ids() order."""
+        rep = self._orbits()[0]
+        return [i for i in self.ids() if rep[i] == i]
+
     def hom_out(self, i: int) -> int:
         """Mask of j with Hom(i, j) != 0."""
         row = self._out.get(i)
@@ -360,20 +411,28 @@ class Component:
         return col
 
     def hom_table(self) -> None:
-        """Fill every hom_out and hom_in row, counting the curves of each
-        ordered pair once for both."""
+        """Fill every hom_out and hom_in row, counting curves only for the
+        rows of orbit representatives.  Hom(σ^t r, σ^t j) = Hom(r, j), so
+        each other row is its representative's relabeled through σ^t;
+        the hom_in rows are the transpose."""
         ids, ms = self.ids(), self.matchings
         if len(self._out) == len(self._in) == len(ids):
             return
-        cols: dict[int, list[int]] = {j: [] for j in ids}
-        for i in ids:
-            m = ms[i]
-            row = [j for j in ids if _curves(m, ms[j]) == 1]
+        rep, shift, powers = self._orbits()
+        rows: dict[int, list[int]] = {}
+        cols: list[list[int]] = [[] for _ in ids]
+        for i in ids:  # a representative comes before the rest of its orbit
+            if rep[i] == i:
+                m = ms[i]
+                row = rows[i] = [j for j in ids if _curves(m, ms[j]) == 1]
+            else:
+                perm = powers[shift[i]]
+                row = [perm[j] for j in rows[rep[i]]]
             self._out[i] = _mask(row)
             for j in row:
                 cols[j].append(i)
-        for j, col in cols.items():
-            self._in[j] = _mask(col)
+        for j in ids:
+            self._in[j] = _mask(cols[j])
 
     def tight_row(self, i: int) -> int:
         """Mask of the basic j with tight_basic(i, j), for a basic object i.
@@ -406,7 +465,8 @@ class Component:
     def _closure(self, anchor: int, into: bool, reverse: bool = False) -> dict[int, int]:
         """For each stage X the anchor's stage filter keeps: the mask of the
         kept stages that X reaches by bypasses through kept stages (or,
-        if reverse, that reach X), X itself included."""
+        if reverse, that reach X), X itself included.  Kept for the
+        representative anchors that _closure_at asks for."""
         key = (anchor, into, reverse)
         closure = self._closures.get(key)
         if closure is None:
@@ -420,15 +480,27 @@ class Component:
             closure = self._closures[key] = _transitive_closure(graph)
         return closure
 
+    def _closure_at(self, anchor: int, x: int, into: bool, reverse: bool = False) -> int:
+        """The anchor's closure mask at stage x, 0 if x is not kept.  With
+        anchor = σ^t r for its representative r, the kept stages and the
+        bypass graph on them are σ^t of r's, so the mask is r's mask at
+        σ^-t x relabeled through σ^t."""
+        rep, shift, powers = self._orbits()
+        t = shift[anchor]
+        mask = self._closure(rep[anchor], into, reverse).get(powers[-t][x], 0)
+        if t:
+            perm = powers[t]
+            mask = _mask(perm[y] for y in _bits(mask))
+        return mask
+
     def _reached(self, start: int, anchor: int, into: bool) -> int:
         """Mask of the stages that bypass_search(self, start, anchor, into)
         reaches: start, and the closures of its kept successors."""
-        closure = self._closure(anchor, into)
-        mask = closure.get(start)
-        if mask is None:
+        mask = self._closure_at(anchor, start, into)
+        if not mask:  # a kept stage reaches itself, so start is not kept
             mask = 1 << start
             for t, _ in self.successors(start):
-                mask |= closure.get(t, 0)
+                mask |= self._closure_at(anchor, t, into)
         return mask
 
     # Composition masks.  Bit for bit they equal composition_nonzero
@@ -447,7 +519,7 @@ class Component:
         """Mask of j with composition_nonzero_right(i, j, k)."""
         if not self.hom_out(i) >> k & 1:
             return 0
-        reaching = self._closure(i, False, reverse=True).get(k, 0)
+        reaching = self._closure_at(i, k, False, reverse=True)
         return self.hom_out(i) & self.hom_in(k) & (reaching | 1 << i | 1 << k)
 
     def sources(self, j: int, k: int) -> int:
@@ -456,7 +528,7 @@ class Component:
             return 0
         if j == k:
             return self.hom_in(j)
-        reaching = self._closure(k, True, reverse=True).get(j, 0)
+        reaching = self._closure_at(k, j, True, reverse=True)
         return self.hom_in(j) & self.hom_in(k) & (reaching | 1 << j)
 
     def targets(self, i: int, j: int) -> int:

@@ -203,9 +203,13 @@ def suite_homs(n: int, e: int) -> SuiteReport:
             if homs.tight_basic(g, g2) != homs.hom_nonzero(g, g2):
                 return {"src": ds_to_json(g), "dst": ds_to_json(g2)}
 
-    # The three checks below compare whole rows of the component index at
-    # once; bit i of a mask stands for comp.objects[i].  A failure reports
-    # the counterexample a loop over objs in enumeration order meets first.
+    # The checks below compare whole rows of the component index at once;
+    # bit i of a mask stands for comp.objects[i].  Each one after
+    # rotation_equivariant is invariant under the rotation σ, so its outer
+    # loop runs over the orbit representatives only.  A representative is
+    # the first object of its orbit in enumeration order, and a failure at
+    # σ^t x is σ^t of one at x, so each reports the counterexample that its
+    # loop over every object (tests/oracle.py) meets first.
     comp = homs.component(n, e)
     ids = comp.ids()
 
@@ -215,16 +219,28 @@ def suite_homs(n: int, e: int) -> SuiteReport:
     def first(mask: int) -> int:
         return next(i for i in ids if mask >> i & 1)
 
-    def serre_iff():
-        comp.hom_table()
+    def equivariant():
+        # what the reductions rely on, checked on every object
         for i in ids:
-            rotated = comp.id(bypass.serre_rotate(comp.objects[i]))
-            bad = comp.hom_out(i) ^ comp.hom_in(rotated)
+            rotated = {comp.rotate(t) for t, _ in comp.successors(i)}
+            if {t for t, _ in comp.successors(comp.rotate(i))} != rotated:
+                return {"ds": js(i)}
+        tris = _triangles(comp, ids)
+        for tri in tris:
+            if tuple(map(comp.rotate, tri)) not in tris:
+                return {"triangle": [js(x) for x in tri]}
+
+    def serre_iff():
+        # hom_out(σi) ^ hom_in(σσi) is σ of hom_out(i) ^ hom_in(σi)
+        comp.hom_table()
+        for i in comp.representatives():
+            bad = comp.hom_out(i) ^ comp.hom_in(comp.rotate(i))
             if bad:
                 return {"src": js(i), "dst": js(first(bad))}
 
     def chain_order_insensitive():
-        for i in ids:
+        # middles(σi, σk) = σ middles(i, k), and so for middles_right
+        for i in comp.representatives():
             bad = 0
             for k in ids:
                 bad |= comp.middles(i, k) ^ comp.middles_right(i, k)
@@ -236,28 +252,36 @@ def suite_homs(n: int, e: int) -> SuiteReport:
                 return {"g": js(i), "g2": js(j), "g3": js(k)}
 
     def exactness():
-        tris = set()
-        for g in objs:
-            for mv in bypass.enumerate_bypasses(g):
-                t = bypass.triangle(g, mv)
-                tris.add((t.g1, t.g2, t.g3))
-        for cyc in tris:
-            t = [comp.id(x) for x in cyc]
+        # the triangles with g1 = σi are σ of those with g1 = i, and the
+        # sources, targets and hom masks of σ of a triangle are σ of its own
+        for tri in _triangles(comp, comp.representatives()):
             bad = 0
             for s in range(3):
-                a, b, c = t[s], t[(s + 1) % 3], t[(s + 2) % 3]
+                a, b, c = tri[s], tri[(s + 1) % 3], tri[(s + 2) % 3]
                 # Hom(x, -) and Hom(-, x) applied to the triangle, over all x
                 bad |= _not_exact(comp.sources(a, b), comp.sources(b, c), comp.hom_in(b))
                 bad |= _not_exact(comp.targets(b, c), comp.targets(a, b), comp.hom_out(b))
             if bad:
-                return {"x": js(first(bad)), "triangle": [ds_to_json(x) for x in cyc]}
+                return {"x": js(first(bad)), "triangle": [js(x) for x in tri]}
 
+    r.run("homs.rotation_equivariant", equivariant)
     r.run("homs.identity_one_curve", identity_tight)
     r.run("homs.greedy_matches_rounding", tight_vs_rounding)
     r.run("homs.serre_duality_iff", serre_iff)
     r.run("homs.stack_order_insensitive", chain_order_insensitive)
     r.run("homs.triangle_exactness", exactness)
     return r.report
+
+
+def _triangles(comp: homs.Component, sources: list[int]) -> dict[tuple[int, int, int], None]:
+    """Vertex ids (g1, g2, g3) of the bypass triangles whose g1 is among
+    sources, in the order of the sources and their moves."""
+    tris: dict[tuple[int, int, int], None] = {}
+    for i in sources:
+        for mv in comp.moves(i):
+            t = bypass.triangle(comp.objects[i], mv)
+            tris[comp.id(t.g1), comp.id(t.g2), comp.id(t.g3)] = None
+    return tris
 
 
 def _not_exact(first: int, second: int, hom: int) -> int:

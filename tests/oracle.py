@@ -22,6 +22,11 @@ differential, `negative_region_differential` one region's partial,
 `index_image` where each goes.  The library works on tuples of
 positions instead and reads a summand's place in F(ds) as a mixed-radix
 number (`functor.index_tuples`).
+
+`HOMS_LOOPS` runs three checks of the homs suite with their outer
+variable over every object, in enumeration order, and returns the
+counterexample each meets first (None if there is none).  The suite
+loops over one representative per rotation orbit instead.
 """
 
 from __future__ import annotations
@@ -29,9 +34,11 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Optional
 
-from diskcontact import functor, gf2, kom
+from diskcontact import bypass, functor, gf2, homs, kom
 from diskcontact.bypass import BypassMove, attach
-from diskcontact.divset import STAR, DividingSet, NestVector, basic_of, chord_key, geometry, nesting_sets
+from diskcontact.divset import STAR, DividingSet, NestVector, basic_of, chord_key, ds_to_json, geometry
+from diskcontact.divset import enumerate_objects, nesting_sets
+from diskcontact.suites import _not_exact
 
 
 def rank(vectors: Iterable[int]) -> int:
@@ -329,3 +336,63 @@ def index_image(move: BypassMove, idx: dict) -> dict:
     image = dict(hits)
     assert len(hits) == len(image) == len(target.tpv), (target, omitted)
     return image
+
+
+# ---------------------------------------------------------------------------
+# the homs suite's checks, looping over every object
+
+
+def _first(comp: homs.Component, mask: int) -> int:
+    return next(i for i in comp.ids() if mask >> i & 1)
+
+
+def serre_iff(n: int, e: int) -> Optional[dict]:
+    comp = homs.component(n, e)
+    comp.hom_table()
+    for i in comp.ids():
+        rotated = comp.id(serre_rotate(comp.objects[i]))
+        bad = comp.hom_out(i) ^ comp.hom_in(rotated)
+        if bad:
+            return {"src": ds_to_json(comp.objects[i]), "dst": ds_to_json(comp.objects[_first(comp, bad)])}
+    return None
+
+
+def chain_order_insensitive(n: int, e: int) -> Optional[dict]:
+    comp = homs.component(n, e)
+    ids = comp.ids()
+    for i in ids:
+        bad = 0
+        for k in ids:
+            bad |= comp.middles(i, k) ^ comp.middles_right(i, k)
+        if bad:
+            j = _first(comp, bad)
+            k = next(k for k in ids if (comp.middles(i, k) ^ comp.middles_right(i, k)) >> j & 1)
+            return dict(zip(("g", "g2", "g3"), (ds_to_json(comp.objects[x]) for x in (i, j, k))))
+    return None
+
+
+def exactness(n: int, e: int) -> Optional[dict]:
+    comp = homs.component(n, e)
+    tris: dict = {}
+    for g in enumerate_objects(n, e):
+        for mv in bypass.enumerate_bypasses(g):
+            t = bypass.triangle(g, mv)
+            tris[t.g1, t.g2, t.g3] = None
+    for cyc in tris:
+        t = [comp.id(x) for x in cyc]
+        bad = 0
+        for s in range(3):
+            a, b, c = t[s], t[(s + 1) % 3], t[(s + 2) % 3]
+            bad |= _not_exact(comp.sources(a, b), comp.sources(b, c), comp.hom_in(b))
+            bad |= _not_exact(comp.targets(b, c), comp.targets(a, b), comp.hom_out(b))
+        if bad:
+            x = comp.objects[_first(comp, bad)]
+            return {"x": ds_to_json(x), "triangle": [ds_to_json(y) for y in cyc]}
+    return None
+
+
+HOMS_LOOPS = {
+    "homs.serre_duality_iff": serre_iff,
+    "homs.stack_order_insensitive": chain_order_insensitive,
+    "homs.triangle_exactness": exactness,
+}

@@ -28,6 +28,7 @@ from diskcontact.homs import (
     tight_basic,
 )
 
+import oracle
 from conftest import pairs_up_to
 
 
@@ -211,6 +212,19 @@ def test_component_rows_match_curve_counts(n, e):
             assert bool(into >> j & 1) == (rounded_components(g2, g) == 1)
 
 
+@pytest.mark.parametrize("n,e", pairs_up_to(6))
+def test_orbit_filled_rows_match_a_direct_fill(n, e):
+    table = homs.Component(n, e)
+    table.hom_table()
+    ids, ms = table.ids(), table.matchings
+    rep, shift, powers = table._orbits()
+    for i in ids:
+        assert powers[shift[i]][rep[i]] == i and rep[i] in table.representatives()
+        assert ids.index(rep[i]) <= ids.index(i)
+        assert table.hom_out(i) == homs._mask(j for j in ids if homs._curves(ms[i], ms[j]) == 1)
+        assert table.hom_in(i) == homs._mask(j for j in ids if homs._curves(ms[j], ms[i]) == 1)
+
+
 @pytest.mark.parametrize("n,e", pairs_up_to(5))
 def test_hom_table_counts_each_pair_once_for_both_rows(n, e, monkeypatch):
     rows, table = homs.Component(n, e), homs.Component(n, e)
@@ -219,11 +233,14 @@ def test_hom_table_counts_each_pair_once_for_both_rows(n, e, monkeypatch):
     counted = []
     monkeypatch.setattr(homs, "_curves", lambda m, m2: counted.append(1) or curves(m, m2))
     table.hom_table()
-    assert len(counted) == len(ids) ** 2
+    # curves are counted only for the rows of the orbit representatives
+    reps = table.representatives()
+    assert len(counted) == len(reps) * len(ids)
     assert table.ids() == ids
     for i in ids:
         assert table.hom_out(i) == rows.hom_out(i) and table.hom_in(i) == rows.hom_in(i)
-    assert len(counted) == 3 * len(ids) ** 2  # the rows were counted one by one
+    # the rows were counted one by one
+    assert len(counted) == len(reps) * len(ids) + 2 * len(ids) ** 2
 
 
 def test_hom_nonzero_reads_a_filled_row(monkeypatch):
@@ -283,19 +300,25 @@ def test_point_attach_interns_only_the_objects_it_touches():
 
 @pytest.mark.parametrize("n,e", pairs_up_to(5) + [(6, 2)])
 def test_closures_match_the_bypass_search(n, e):
-    # reach from any start, kept or not, and the reversed closure on the
-    # kept stages, against one breadth-first search per (start, anchor)
+    # reach from any start, kept or not, and the closure masks of every
+    # anchor, relabeled from its representative's, against one
+    # breadth-first search per (start, anchor)
     comp = component(n, e)
     ids = comp.ids()
     for anchor, into in itertools.product(ids, (True, False)):
         searched = {s: homs._mask(homs.bypass_search(comp, s, anchor, into)) for s in ids}
+        keep = comp._stage_filter(anchor, into)
+        kept = [s for s in ids if keep(s)]
         for s in ids:
             assert comp._reached(s, anchor, into) == searched[s]
-        kept = comp._closure(anchor, into)
-        reaching = comp._closure(anchor, into, reverse=True)
-        assert reaching.keys() == kept.keys()
-        for x in kept:
-            assert reaching[x] == homs._mask(s for s in kept if searched[s] >> x & 1)
+            forward = comp._closure_at(anchor, s, into)
+            reaching = comp._closure_at(anchor, s, into, reverse=True)
+            if keep(s):
+                assert forward == searched[s]
+                assert reaching == homs._mask(x for x in kept if searched[x] >> s & 1)
+            else:
+                assert forward == reaching == 0
+    assert {anchor for anchor, _, _ in comp._closures} <= set(comp.representatives())
 
 
 def test_transitive_closure_on_cyclic_graphs():
@@ -337,6 +360,16 @@ def test_composition_masks_match_searches(n, e):
 def test_homs_suite_passes(n, e):
     (report,) = suites.run_suite("homs", n, e)
     assert report.ok, report.to_json()
+    assert report.checks[0].check_id == "homs.rotation_equivariant"
+
+
+@pytest.mark.parametrize("n,e", pairs_up_to(6))
+def test_reduced_homs_checks_match_the_loops_over_every_object(n, e):
+    (report,) = suites.run_suite("homs", n, e)
+    got = {c.check_id: c.counterexample for c in report.checks}
+    assert {check_id: loop(n, e) for check_id, loop in oracle.HOMS_LOOPS.items()} == {
+        check_id: got[check_id] for check_id in oracle.HOMS_LOOPS
+    }
 
 
 def test_point_queries_do_not_enumerate_the_component(monkeypatch):

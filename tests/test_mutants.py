@@ -1,13 +1,19 @@
-"""Named mutants of the functor suite.
+"""Named mutants of the functor and homs suites.
 
 Each mutant replaces one library function with a copy that breaks one
-stated fact, and pins the set of functor checks that fail under it at
-(3,1), (4,2) and (5,2).  A check that no mutant makes fail may test
+stated fact, and pins the set of its suite's checks that fail under it
+at (3,1), (4,2) and (5,2).  A check that no mutant makes fail may test
 nothing; a mutant that stops failing marks a check that got weaker.
+
+The homs checks that loop over one representative per rotation orbit
+must fail exactly as their loops over every object do (oracle.HOMS_LOOPS)
+under every mutant that keeps the rotation equivariance; a mutant that
+breaks it must fail homs.rotation_equivariant.
 """
 
 import pytest
 
+import oracle
 from diskcontact import functor, homs, suites
 from diskcontact.divset import geometry
 
@@ -15,6 +21,11 @@ SPLITS = "functor.differential_splits_by_negative_region"
 COMMUTE = "functor.region_partials_commute"
 CHAIN_MAPS = "functor.bypass_chain_maps_with_degree_formula"
 SPLIT_LAWS = "functor.index_split_laws"
+EQUIVARIANT = "homs.rotation_equivariant"
+GREEDY = "homs.greedy_matches_rounding"
+SERRE = "homs.serre_duality_iff"
+STACK_ORDER = "homs.stack_order_insensitive"
+EXACTNESS = "homs.triangle_exactness"
 
 
 def rim_corner_off_by_one(rim):
@@ -44,39 +55,111 @@ def entry_filed_under_another_region(partial):
     return mutated
 
 
-# name: (the fact it breaks, function replaced, mutation, failing checks per (n, e))
+def curve_shift_plus_two(curves):
+    def mutated(m, m2):
+        size = len(m)
+        seen = [False] * size
+        cycles = 0
+        for start in range(size):
+            if not seen[start]:
+                cycles += 1
+                p = start
+                while not seen[p]:
+                    seen[p] = True
+                    p = m2[(m[p] + 2) % size]
+        return cycles // 2
+
+    return mutated
+
+
+def closure_keeps_direct_successors(transitive_closure):
+    def mutated(graph):
+        return {x: homs._mask([x, *graph[x]]) for x in graph}
+
+    return mutated
+
+
+def last_move_dropped(moves):
+    def mutated(self, i):
+        found = moves(self, i)
+        return found[:-1] if i == self.ids()[-1] else found
+
+    return mutated
+
+
+# name: (the fact it breaks, suite, owner and name of the function replaced,
+# mutation, failing checks per (n, e))
 MUTANTS = {
     "rim_corner_off_by_one": (
         "a region's partial starts at the walk-entry corner of each rim chord",
-        "_rim",
+        "functor",
+        (functor, "_rim"),
         rim_corner_off_by_one,
         {(3, 1): {SPLITS}, (4, 2): {SPLITS}, (5, 2): {SPLITS}},
     ),
     "identity_flipped": (
         "the identity indices of a bypass are those left of its arc",
-        "index_split",
+        "functor",
+        (functor, "index_split"),
         identity_flipped,
         {(3, 1): {CHAIN_MAPS, SPLIT_LAWS}, (4, 2): {CHAIN_MAPS, SPLIT_LAWS}, (5, 2): {CHAIN_MAPS, SPLIT_LAWS}},
     ),
     "entry_filed_under_another_region": (
         "each entry of d belongs to the partial of its own region",
-        "negative_region_differential",
+        "functor",
+        (functor, "negative_region_differential"),
         entry_filed_under_another_region,
         {(3, 1): set(), (4, 2): {COMMUTE}, (5, 2): {COMMUTE}},
     ),
+    "curve_shift_plus_two": (
+        "rounding shifts a curve leaving the bottom matching at p to p-2 on the top",
+        "homs",
+        (homs, "_curves"),
+        curve_shift_plus_two,
+        {
+            (3, 1): {GREEDY, SERRE, EXACTNESS},
+            (4, 2): {GREEDY, SERRE, STACK_ORDER, EXACTNESS},
+            (5, 2): {GREEDY, SERRE, STACK_ORDER, EXACTNESS},
+        },
+    ),
+    "closure_keeps_direct_successors": (
+        "a composition mask reads every stage reached by a chain of bypasses",
+        "homs",
+        (homs, "_transitive_closure"),
+        closure_keeps_direct_successors,
+        {(3, 1): set(), (4, 2): {STACK_ORDER, EXACTNESS}, (5, 2): {STACK_ORDER, EXACTNESS}},
+    ),
+    "last_move_dropped": (
+        "the bypass targets of a rotated object are the rotated bypass targets",
+        "homs",
+        (homs.Component, "moves"),
+        last_move_dropped,
+        # only the first check is sound here; at (5,2) it is the only one to fail
+        {(3, 1): {EQUIVARIANT, EXACTNESS}, (4, 2): {EQUIVARIANT, STACK_ORDER, EXACTNESS}, (5, 2): {EQUIVARIANT}},
+    ),
 }
+# the mutants under which the homs checks may not loop over representatives
+NOT_EQUIVARIANT = {"last_move_dropped"}
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_mutant_fails_exactly_its_checks(name, monkeypatch):
-    fact, attr, mutate, want = MUTANTS[name]
-    monkeypatch.setattr(functor, attr, mutate(getattr(functor, attr)))
+    fact, suite, (owner, attr), mutate, want = MUTANTS[name]
+    monkeypatch.setattr(owner, attr, mutate(getattr(owner, attr)))
     homs.component.cache_clear()
+    homs.rounded_components.cache_clear()
     try:
-        got = {}
+        got, loops = {}, {}
         for n, e in want:
-            (report,) = suites.run_suite("functor", n, e)
+            (report,) = suites.run_suite(suite, n, e)
             got[n, e] = {c.check_id for c in report.checks if not c.ok}
+            if suite == "homs" and name not in NOT_EQUIVARIANT:
+                reduced = {c.check_id: c.counterexample for c in report.checks}
+                for check_id, loop in oracle.HOMS_LOOPS.items():
+                    loops[n, e, check_id] = (reduced[check_id], loop(n, e))
     finally:
         homs.component.cache_clear()
+        homs.rounded_components.cache_clear()
     assert got == want, fact
+    for key, (reduced, unreduced) in loops.items():
+        assert reduced == unreduced, key
