@@ -20,10 +20,15 @@ the chord count).  The attachment replaces those three chords by
 where "left" endpoints are the ones adjacent to the left side of the arc.
 The induced triangle continues with the move (p, q, wall) on the result.
 
-Moves, their targets and triangles are kept by the component index
-(homs.Component): each object's moves are enumerated once, and
-`enumerate_bypasses`, `attach`, `triangle`, `serre_rotate` and
-`commuting_squares` return the component's interned moves and objects.
+`BypassMove.chords` is the one reading of (x, y, z) as chords, and
+`divset.chord_slots` the one reading of chords as slots.  `find_moves`
+builds every move straight from slots, so it validates none;
+`validate_move` checks moves from outside, in `Component.move_id` on a
+move it has not seen and at the CLI.  Moves, their targets and
+triangles are kept by the component index (homs.Component): each
+object's moves are enumerated once, and `enumerate_bypasses`, `attach`,
+`triangle`, `serre_rotate` and `commuting_squares` return the
+component's interned moves and objects.
 A target is the source's matching with the endpoints of those three
 chords re-paired (`surgery`), and a rotation moves every point p to p-2
 (`serre_rotate`, which reads `Component.rotate`); both are looked up by
@@ -44,10 +49,9 @@ from dataclasses import dataclass
 from .divset import (
     STAR,
     DividingSet,
-    Geometry,
-    NegRegion,
     NestVector,
     chord_key,
+    chord_slots,
     Matching,
     far_side_labels,
     geometry,
@@ -91,20 +95,12 @@ class BypassMove:
         ls = self.source.labels(self.uv)
         return tuple(sorted(ls[i] for i in range(len(ls)) if i not in left))
 
-    # oriented chords of the attaching data, in walk direction
     @property
-    def entry_chord(self) -> tuple[int, int]:
-        k = self.source.l(self.uv) + 1
-        return self.source.chords(self.uv)[(self.x - 1) % k]
-
-    @property
-    def exit_chord(self) -> tuple[int, int]:
-        return self.source.chords(self.uv)[self.y]
-
-    @property
-    def target_chord(self) -> tuple[int, int]:
-        k = self.source.l(self.ov) + 1
-        return self.source.chords(self.ov)[(self.z - 1) % k]
+    def chords(self) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
+        """The oriented (entry, exit, target) chords, in walk direction:
+        chord[x-1] and chord[y] of uv, chord[z-1] of ov (slot -1 is l)."""
+        uv, ov = self.source.chords(self.uv), self.source.chords(self.ov)
+        return uv[self.x - 1], uv[self.y], ov[self.z - 1]
 
 
 def validate_move(move: BypassMove) -> None:
@@ -118,10 +114,9 @@ def validate_move(move: BypassMove) -> None:
         raise InvalidMove("z out of range")
     if (move.x - 1) % (ds.l(move.uv) + 1) == move.y:
         raise InvalidMove("entry and exit chords coincide")
-    geo = geometry(ds)
-    c2 = chord_key(move.exit_chord)
-    c3 = chord_key(move.target_chord)
-    if geo.neg_of_chord[c2] != geo.neg_of_chord[c3]:
+    _, exit, target = move.chords
+    neg_of_chord = geometry(ds).neg_of_chord
+    if neg_of_chord[chord_key(exit)] != neg_of_chord[chord_key(target)]:
         raise InvalidMove("exit and target chords do not bound a common negative region")
 
 
@@ -131,32 +126,23 @@ def move_from_chords(
     exit: tuple[int, int],
     target: tuple[int, int],
 ) -> BypassMove:
-    """Build the move whose attaching arc crosses the three given chords."""
-    geo = geometry(ds)
-    uv = geo.comp_of_chord[chord_key(entry)]
-    if geo.comp_of_chord[chord_key(exit)] != uv:
+    """The move whose attaching arc crosses the three given chords.
+
+    It is not validated: Component.move_id validates a move it has not
+    seen, so a caller that looks the move up checks it once.
+    """
+    slots = chord_slots(ds)
+    uv, a = slots[chord_key(entry)]
+    exit_uv, y = slots[chord_key(exit)]
+    if exit_uv != uv:
         raise InvalidMove("entry and exit chords bound different components")
-    ov = geo.comp_of_chord[chord_key(target)]
-    k = ds.l(uv) + 1
-    chords_uv = [chord_key(c) for c in ds.chords(uv)]
-    a = chords_uv.index(chord_key(entry))
-    b = chords_uv.index(chord_key(exit))
-    chords_ov = [chord_key(c) for c in ds.chords(ov)]
-    c = chords_ov.index(chord_key(target))
-    move = BypassMove(
-        ds, uv, ov, (a + 1) % k, b, (c + 1) % (ds.l(ov) + 1)
-    )
-    validate_move(move)
-    return move
+    ov, c = slots[chord_key(target)]
+    return BypassMove(ds, uv, ov, (a + 1) % (ds.l(uv) + 1), y, (c + 1) % (ds.l(ov) + 1))
 
 
-def _surgery(move: BypassMove) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
-    """New chord keys (wall, p, q) replacing entry/exit/target chords."""
-    return _new_chords(move.entry_chord, move.exit_chord, move.target_chord)
-
-
-def _new_chords(entry, exit, target) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
-    """(wall, p, q) for the oriented entry, exit and target chords."""
+def _surgery(entry, exit, target) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
+    """New chord keys (wall, p, q) replacing the oriented entry, exit and
+    target chords of a move (`BypassMove.chords`)."""
     return (
         chord_key((entry[1], exit[0])),
         chord_key((exit[1], target[0])),
@@ -171,29 +157,32 @@ def find_moves(ds: DividingSet) -> list[BypassMove]:
     Configurations: pick a negative region, an ordered pair of distinct
     chords on it (exit from uv, target on ov), and any other chord of uv
     as the entry.  Distinct chords of one negative region always bound
-    distinct positive components, so uv != ov automatically.
+    distinct positive components, so uv != ov automatically.  Each move
+    is built from the chords' slots: y is the exit's slot, z the target's
+    slot + 1, and x = a + 1 for the entry's slot a.  Distinct
+    configurations give distinct moves, all valid, so none is checked.
     """
-    geo = geometry(ds)
+    slots = chord_slots(ds)
     moves = []
-    for region in geo.neg_regions:
+    for region in geometry(ds).neg_regions:
         cs = region.chords
         for c2 in cs:
-            uv = geo.comp_of_chord[c2]
+            uv, y = slots[c2]
+            k = ds.l(uv) + 1
+            xs = [(a + 1) % k for a in range(k) if a != y]
             for c3 in cs:
-                if c3 == c2:
-                    continue
-                for c1 in ds.chords(uv):
-                    if chord_key(c1) == c2:
-                        continue
-                    moves.append(move_from_chords(ds, c1, c2, c3))
-    return sorted(set(moves), key=lambda b: (b.uv, b.ov, b.x, b.y, b.z))
+                if c3 != c2:
+                    ov, c = slots[c3]
+                    z = (c + 1) % (ds.l(ov) + 1)
+                    moves.extend(BypassMove(ds, uv, ov, x, y, z) for x in xs)
+    return sorted(moves, key=lambda b: (b.uv, b.ov, b.x, b.y, b.z))
 
 
 def surgery(move: BypassMove, m: Matching) -> Matching:
     """The source's matching m with the entry, exit and target chords
     re-paired as (wall, p, q); callers read attach."""
     out = list(m)
-    for a, b in _surgery(move):
+    for a, b in _surgery(*move.chords):
         out[a], out[b] = b, a
     return tuple(out)
 
@@ -235,7 +224,7 @@ def _next_move(comp: Component, m: int) -> int:
     Read from the target's move table when its moves are enumerated;
     otherwise built from the chords, so a point query fills no table.
     """
-    wall, p, q = _surgery(comp.move_list[m])
+    wall, p, q = _surgery(*comp.move_list[m].chords)
     t = comp.target(m)
     if t in comp._moves:
         nxt = comp.move_at(t, _chord_code(2 * comp.n + 2, p, q, wall))
@@ -266,25 +255,17 @@ def serre_rotate(ds: DividingSet) -> DividingSet:
     return comp.objects[comp.rotate(comp.id(ds))]
 
 
-def _nonbasic_outer_data(ds: DividingSet) -> tuple[NestVector, Geometry, NegRegion]:
-    if ds.is_basic():
-        raise IsBasic("dividing set is basic")
-    i0 = min(v[0] for v in ds.vnb if len(v) == 1)
-    uv = (i0,)
-    geo = geometry(ds)
-    outer = chord_key(ds.chords(uv)[ds.l(uv)])
-    region = geo.neg_regions[geo.neg_of_chord[outer]]
-    return uv, geo, region
-
-
 def canonical_bypass(ds: DividingSet) -> BypassMove:
     """The leftmost bypass whose arc runs from the based component into the
     first non-boundary-parallel top-level component."""
-    uv, geo, region = _nonbasic_outer_data(ds)
-    outer = ds.chords(uv)[ds.l(uv)]
-    star_chords = [c for c in region.chords if geo.comp_of_chord[c] == STAR]
-    assert len(star_chords) == 1
-    return move_from_chords(ds, ds.chords(uv)[0], outer, star_chords[0])
+    if ds.is_basic():
+        raise IsBasic("dividing set is basic")
+    uv = (min(v[0] for v in ds.vnb if len(v) == 1),)
+    geo = geometry(ds)
+    chords = ds.chords(uv)
+    region = geo.neg_regions[geo.neg_of_chord[chord_key(chords[-1])]]
+    (star_chord,) = [c for c in region.chords if geo.comp_of_chord[c] == STAR]
+    return move_from_chords(ds, chords[0], chords[-1], star_chord)
 
 
 def obar(ds: DividingSet) -> tuple[DividingSet, BypassMove]:
@@ -305,9 +286,7 @@ def zero_region(move: BypassMove) -> int:
     ds = move.source
     if 0 in ds.labels(move.uv):
         return 2 if 0 in move.left_labels else 6
-    c1 = chord_key(move.entry_chord)
-    c2 = chord_key(move.exit_chord)
-    c3 = chord_key(move.target_chord)
+    c1, c2, c3 = (chord_key(c) for c in move.chords)
     anchor = ds.labels(move.uv)[0]
     if 0 in far_side_labels(ds, c1, anchor):
         return 1
@@ -316,12 +295,7 @@ def zero_region(move: BypassMove) -> int:
     if 0 in side_containing(ds.n, c2, anchor):
         # on the uv side of the exit chord, hanging beyond another chord of
         # uv; left exactly when that chord joins two left labels
-        k = ds.l(move.uv) + 1
-        left_internal = set()
-        i = move.x
-        while i != move.y:
-            left_internal.add(i)
-            i = (i + 1) % k
+        left_internal = move.left_positions[:-1]
         for j, ch in enumerate(ds.chords(move.uv)):
             cj = chord_key(ch)
             if cj in (c1, c2):
@@ -353,14 +327,6 @@ def zero_region(move: BypassMove) -> int:
 # pieces created by one surgery tell where the other arc now runs).
 
 
-def _triple(move: BypassMove) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
-    return (
-        chord_key(move.entry_chord),
-        chord_key(move.exit_chord),
-        chord_key(move.target_chord),
-    )
-
-
 def _chord_code(size: int, c1: tuple[int, int], c2: tuple[int, int], c3: tuple[int, int]) -> int:
     """One int for the chord keys (entry, exit, target) of an arc on a
     disk with `size` marked points: the key of the component's move
@@ -370,7 +336,7 @@ def _chord_code(size: int, c1: tuple[int, int], c2: tuple[int, int], c3: tuple[i
 
 
 def _move_code(move: BypassMove) -> int:
-    return _chord_code(2 * move.source.n + 2, *_triple(move))
+    return _chord_code(2 * move.source.n + 2, *(chord_key(c) for c in move.chords))
 
 
 def _arc(comp: Component, m: int):
@@ -380,16 +346,13 @@ def _arc(comp: Component, m: int):
     its surgery cuts its three chords into, and its target's id."""
     move = comp.move_list[m]
     ds = move.source
-    chords_uv = ds.chords(move.uv)
-    i1 = (move.x - 1) % len(chords_uv)
-    entry, exit = chords_uv[i1], chords_uv[move.y]
-    chords_ov = ds.chords(move.ov)
-    target = chords_ov[(move.z - 1) % len(chords_ov)]
+    entry, exit, target = move.chords
     c1, c2, c3 = chord_key(entry), chord_key(exit), chord_key(target)
-    wall, p, q = _new_chords(entry, exit, target)
+    wall, p, q = _surgery(entry, exit, target)
     # left corner endpoint of each cut chord, and the new chords its left
     # and right pieces join
     pieces = {c1: (entry[1], wall, q), c2: (exit[0], wall, p), c3: (target[1], q, p)}
+    i1 = (move.x - 1) % (ds.l(move.uv) + 1)
     pos_face = ((i1, entry[0] < entry[1], c1), (move.y, exit[0] < exit[1], c2))
     return (c1, c2, c3), move.uv, geometry(ds).neg_of_chord[c2], pos_face, pieces, comp.target(m)
 

@@ -402,6 +402,13 @@ def chord_key(c: tuple[int, int]) -> tuple[int, int]:
     return (c[0], c[1]) if c[0] < c[1] else (c[1], c[0])
 
 
+def chord_slots(ds: DividingSet) -> dict[tuple[int, int], tuple[NestVector, int]]:
+    """Chord key -> (v, j): the positive component v the chord bounds and
+    its slot j in v's walk, so the chord is v's chord[j].  Built per
+    call, not kept."""
+    return {chord_key(c): (v, j) for v, _ in ds.components for j, c in enumerate(ds.chords(v))}
+
+
 @dataclass(frozen=True)
 class NegRegion:
     """A negative-region face: its cyclic walk of (arc index, chord key).
@@ -456,10 +463,7 @@ def geometry(ds: DividingSet) -> Geometry:
 
 def _faces(ds: DividingSet) -> Geometry:
     m = to_matching(ds)
-    comp_of_chord = {}
-    for v, _ in ds.components:
-        for c in ds.chords(v):
-            comp_of_chord[chord_key(c)] = v
+    comp_of_chord = {c: v for c, (v, _) in chord_slots(ds).items()}
 
     size = len(m)
     seen = [False] * (size // 2)

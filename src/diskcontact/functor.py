@@ -39,7 +39,7 @@ from .divset import (
     DividingSet,
     NestVector,
     basic_of,
-    chord_key,
+    chord_slots,
     geometry,
     nesting_sets,
 )
@@ -136,14 +136,14 @@ def _rim(ds: DividingSet, region_index: int) -> Optional[list[tuple[int, int]]]:
     boundary-parallel is the disk less their bigons, so the based
     component is on its rim too: the condition that some rim component is
     not boundary-parallel needs no test here."""
-    geo = geometry(ds)
+    slots = chord_slots(ds)
     col = {v: c for c, v in enumerate(ds.tpv)}
     rim = []
-    for ch in geo.neg_regions[region_index].chords:
-        v = geo.comp_of_chord[ch]
+    for ch in geometry(ds).neg_regions[region_index].chords:
+        v, j = slots[ch]
         if v == STAR:
             return None
-        rim.append((col[v], [chord_key(x) for x in ds.chords(v)].index(ch)))
+        rim.append((col[v], j))
     return rim
 
 

@@ -180,8 +180,13 @@ class Component:
     (`rotate`), hom rows, tight rows (basic objects only), reachability
     closures of orbit representatives, and the tables other modules
     fill: bypass triangles, F-images, bypass chain maps and induced
-    rotation blocks.  A hom row or a composition mask covers the whole
-    component, so asking for one enumerates it.
+    rotation blocks.  Hom rows are filled only as a whole table
+    (`hom_table`, which the first hom_out or hom_in fills), and a
+    composition mask covers the whole component too, so asking for
+    either enumerates it; a point query reads `_stage_filter`, which
+    fills no row.  Each object's moves come from `bypass.find_moves`,
+    which builds them valid; `move_id` validates a move it has not seen,
+    so a move from outside is checked once.
 
     The rotation σ (`rotate`, the paper's Serre functor on objects) has
     order n+1, and the exhaustive tables use it.  Each orbit is
@@ -285,8 +290,9 @@ class Component:
 
     def move_id(self, move: BypassMove) -> int:
         """The id of the move, interned on first use with the interned
-        source; raises InvalidMove unless it is a nontrivial bypass.  As in
-        id, move_list keeps interned moves alive for the address lookup."""
+        source; a move not seen before is validated, and raises
+        InvalidMove unless it is a nontrivial bypass.  As in id,
+        move_list keeps interned moves alive for the address lookup."""
         m = self._move_by_address.get(id(move))
         if m is None:
             m = self._move_ids.get(move)
@@ -395,31 +401,31 @@ class Component:
         return [i for i in self.ids() if rep[i] == i]
 
     def hom_out(self, i: int) -> int:
-        """Mask of j with Hom(i, j) != 0."""
-        row = self._out.get(i)
-        if row is None:
-            m, ms = self.matchings[i], self.matchings
-            row = self._out[i] = _mask(j for j in self.ids() if _curves(m, ms[j]) == 1)
-        return row
+        """Mask of j with Hom(i, j) != 0; the first row asked for fills
+        the whole table."""
+        if not self._out:
+            self.hom_table()
+        return self._out[i]
 
     def hom_in(self, j: int) -> int:
-        """Mask of i with Hom(i, j) != 0."""
-        col = self._in.get(j)
-        if col is None:
-            m, ms = self.matchings[j], self.matchings
-            col = self._in[j] = _mask(i for i in self.ids() if _curves(ms[i], m) == 1)
-        return col
+        """Mask of i with Hom(i, j) != 0; the first row asked for fills
+        the whole table."""
+        if not self._out:
+            self.hom_table()
+        return self._in[j]
 
     def hom_table(self) -> None:
-        """Fill every hom_out and hom_in row, counting curves only for the
-        rows of orbit representatives.  Hom(σ^t r, σ^t j) = Hom(r, j), so
-        each other row is its representative's relabeled through σ^t;
-        the hom_in rows are the transpose."""
-        ids, ms = self.ids(), self.matchings
-        if len(self._out) == len(self._in) == len(ids):
+        """Fill every hom_out and hom_in row, the only way rows are
+        filled, counting curves only for the rows of orbit
+        representatives.  Hom(σ^t r, σ^t j) = Hom(r, j), so each other row
+        is its representative's relabeled through σ^t; the hom_in rows
+        are the transpose."""
+        if self._out:
             return
+        ids, ms = self.ids(), self.matchings
         rep, shift, powers = self._orbits()
         rows: dict[int, list[int]] = {}
+        out: dict[int, int] = {}
         cols: list[list[int]] = [[] for _ in ids]
         for i in ids:  # a representative comes before the rest of its orbit
             if rep[i] == i:
@@ -428,11 +434,11 @@ class Component:
             else:
                 perm = powers[shift[i]]
                 row = [perm[j] for j in rows[rep[i]]]
-            self._out[i] = _mask(row)
+            out[i] = _mask(row)
             for j in row:
                 cols[j].append(i)
-        for j in ids:
-            self._in[j] = _mask(cols[j])
+        self._in = {j: _mask(cols[j]) for j in ids}
+        self._out = out  # last: a nonempty _out means the table is filled
 
     def tight_row(self, i: int) -> int:
         """Mask of the basic j with tight_basic(i, j), for a basic object i.

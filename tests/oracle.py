@@ -6,6 +6,10 @@ lists, and reads dimensions off GF(2) ranks of D.  The library answers
 every hom dimension and nullhomotopy question from per-source column
 retracts instead; the tests compare the two.
 
+`find_moves` builds every bypass move from its chords through
+`bypass.move_from_chords`, validates each and drops repeats; the library
+builds them straight from the chords' walk slots and validates none.
+
 `from_partition` rebuilds a nesting tree from its label partition by
 scanning the gaps of every candidate parent, and `surgery` and
 `serre_rotate` build an attach target and a rotation from the label
@@ -136,6 +140,25 @@ def is_nullhomotopic(f: kom.ChainMap) -> bool:
         return False
     target = sum(1 << pos[p] for p in f.entries)
     return gf2.solve(hc.columns(f.k - 1), target) is not None
+
+
+def find_moves(ds: DividingSet) -> list[BypassMove]:
+    """Every (region, exit, target, entry) configuration of bypass.find_moves,
+    each built by move_from_chords and validated, repeats dropped."""
+    geo = geometry(ds)
+    moves = []
+    for region in geo.neg_regions:
+        for c2 in region.chords:
+            uv = geo.comp_of_chord[c2]
+            for c3 in region.chords:
+                if c3 == c2:
+                    continue
+                for c1 in ds.chords(uv):
+                    if chord_key(c1) != c2:
+                        move = bypass.move_from_chords(ds, c1, c2, c3)
+                        bypass.validate_move(move)
+                        moves.append(move)
+    return sorted(set(moves), key=lambda b: (b.uv, b.ov, b.x, b.y, b.z))
 
 
 def from_partition(n: int, e: int, parts: Iterable[Iterable[int]]) -> DividingSet:

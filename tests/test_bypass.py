@@ -101,6 +101,15 @@ def test_attach_valid_and_tight(n, e):
             assert hom_nonzero(g, out)
 
 
+@pytest.mark.parametrize("n,e", pairs_up_to(6))
+def test_find_moves_matches_the_validating_oracle(n, e):
+    for g in enumerate_objects(n, e):
+        moves = bypass.find_moves(g)
+        assert moves == oracle.find_moves(g)
+        for mv in moves:
+            validate_move(mv)
+
+
 @pytest.mark.parametrize("n,e", pairs_up_to(4))
 def test_enumerate_bypasses_unique_no_duplicates(n, e):
     for g in enumerate_objects(n, e):
@@ -246,16 +255,13 @@ def test_commuting_squares_mismatched_sources(ex_g1, ex_g4):
 
 
 # Reference commuting squares: every face passage and transport rebuilt
-# from the moves' chords, and a transported arc found by move_from_chords,
-# which raises InvalidMove where the library's move-table lookup misses.
+# from the moves' chords, and a transported arc found by move_from_chords
+# and validate_move, which raise InvalidMove where the library's
+# move-table lookup misses.
 
 
 def _ref_triple(move):
-    return (
-        chord_key(move.entry_chord),
-        chord_key(move.exit_chord),
-        chord_key(move.target_chord),
-    )
+    return tuple(chord_key(c) for c in move.chords)
 
 
 def _ref_segments(move):
@@ -302,9 +308,7 @@ def _ref_no_crossing(a, b, order):
 
 def _ref_images(move, surg, order, move_is_a):
     """The chords `move` crosses after attaching `surg`."""
-    e_from, e_to = surg.entry_chord
-    x_from, x_to = surg.exit_chord
-    t_from, t_to = surg.target_chord
+    (e_from, e_to), (x_from, x_to), (t_from, t_to) = surg.chords
     wall = chord_key((e_to, x_from))
     p = chord_key((x_to, t_from))
     q = chord_key((e_from, t_to))
@@ -339,6 +343,7 @@ def _ref_commuting_squares(a, b, lookups):
             chords = _ref_images(move, surg, order, move_is_a)
             try:
                 moved = move_from_chords(target, *chords)
+                validate_move(moved)
             except InvalidMove:
                 sides.append(None)
             else:
@@ -390,7 +395,7 @@ def test_next_move_reads_the_move_table_like_move_from_chords(n, e):
         for mv in comp.moves(i):
             m = comp.move_id(mv)
             t = comp.target(m)
-            wall, p, q = bypass._surgery(mv)
+            wall, p, q = bypass._surgery(*mv.chords)
             want = comp.move_id(move_from_chords(comp.objects[t], p, q, wall))
             comp.moves(t)
             assert bypass._next_move(comp, m) == want

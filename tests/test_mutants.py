@@ -11,12 +11,15 @@ under every mutant that keeps the rotation equivariance; a mutant that
 breaks it must fail homs.rotation_equivariant.
 """
 
+import dataclasses
+
 import pytest
 
 import oracle
-from diskcontact import functor, homs, suites
+from diskcontact import bypass, functor, homs, suites
 from diskcontact.divset import geometry
 
+IDENTITY = "homs.identity_one_curve"
 SPLITS = "functor.differential_splits_by_negative_region"
 COMMUTE = "functor.region_partials_commute"
 CHAIN_MAPS = "functor.bypass_chain_maps_with_degree_formula"
@@ -72,6 +75,13 @@ def curve_shift_plus_two(curves):
     return mutated
 
 
+def curves_not_halved(curves):
+    def mutated(m, m2):
+        return 2 * curves(m, m2)  # the cycle count: each curve is walked both ways
+
+    return mutated
+
+
 def closure_keeps_direct_successors(transitive_closure):
     def mutated(graph):
         return {x: homs._mask([x, *graph[x]]) for x in graph}
@@ -83,6 +93,15 @@ def last_move_dropped(moves):
     def mutated(self, i):
         found = moves(self, i)
         return found[:-1] if i == self.ids()[-1] else found
+
+    return mutated
+
+
+def target_slot_off_by_one(find_moves):
+    def mutated(ds):
+        return [
+            dataclasses.replace(mv, z=(mv.z + 1) % (ds.l(mv.ov) + 1)) for mv in find_moves(ds)
+        ]
 
     return mutated
 
@@ -122,6 +141,17 @@ MUTANTS = {
             (5, 2): {GREEDY, SERRE, STACK_ORDER, EXACTNESS},
         },
     ),
+    "curves_not_halved": (
+        "each closed curve is walked once in each direction, so curves are half the cycles",
+        "homs",
+        (homs, "_curves"),
+        curves_not_halved,
+        {
+            (3, 1): {IDENTITY, GREEDY},
+            (4, 2): {IDENTITY, GREEDY},
+            (5, 2): {IDENTITY, GREEDY},
+        },
+    ),
     "closure_keeps_direct_successors": (
         "a composition mask reads every stage reached by a chain of bypasses",
         "homs",
@@ -137,9 +167,18 @@ MUTANTS = {
         # only the first check is sound here; at (5,2) it is the only one to fail
         {(3, 1): {EQUIVARIANT, EXACTNESS}, (4, 2): {EQUIVARIANT, STACK_ORDER, EXACTNESS}, (5, 2): {EQUIVARIANT}},
     ),
+    "target_slot_off_by_one": (
+        "a move's z is one past its target chord's walk slot",
+        "homs",
+        (bypass, "find_moves"),
+        target_slot_off_by_one,
+        # find_moves validates no move, so the shifted moves reach the suite;
+        # at (3,1) every move's ov has one chord, so no z moves
+        {(3, 1): set(), (4, 2): {EQUIVARIANT, STACK_ORDER, EXACTNESS}, (5, 2): {EQUIVARIANT, STACK_ORDER, EXACTNESS}},
+    ),
 }
 # the mutants under which the homs checks may not loop over representatives
-NOT_EQUIVARIANT = {"last_move_dropped"}
+NOT_EQUIVARIANT = {"last_move_dropped", "target_slot_off_by_one"}
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))

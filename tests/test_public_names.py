@@ -1,9 +1,10 @@
-"""Every public module-level name in the library has a caller in it.
+"""Every module-level name in the library has a caller in it.
 
 A public def or class in src/diskcontact must be referenced from
 somewhere in src/ (a name, an attribute or an import other than its own
-definition) or exported from diskcontact/__init__.py.  Code that only
-tests call lives next to those tests.
+definition) or exported from diskcontact/__init__.py, and so must a
+private module-level def.  Code that only tests call lives next to those
+tests.
 """
 
 import ast
@@ -14,7 +15,9 @@ import diskcontact
 PACKAGE = Path(diskcontact.__file__).parent
 
 
-def test_every_public_name_is_used_or_exported():
+def _unreferenced(kinds, private: bool) -> list[str]:
+    """`module:name` of each module-level def of the given kinds, public or
+    private, that src/ neither references nor exports."""
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     used, exported = set(), set()
     for name, tree in trees.items():
@@ -25,12 +28,19 @@ def test_every_public_name_is_used_or_exported():
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 (exported if name == "__init__.py" else used).update(a.name for a in node.names)
-    unused = [
+    return [
         f"{name}:{node.name}"
         for name, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
+        if isinstance(node, kinds)
+        and node.name.startswith("_") == private
         and node.name not in used | exported
     ]
-    assert unused == []
+
+
+def test_every_public_name_is_used_or_exported():
+    assert _unreferenced((ast.FunctionDef, ast.ClassDef), private=False) == []
+
+
+def test_every_private_function_is_used():
+    assert _unreferenced(ast.FunctionDef, private=True) == []
