@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .divset import DividingSet, basic_of, basic_sets
+from .divset import DividingSet, basic_index, basic_of, basic_sets
 from .errors import ComponentMismatch, NotBasic
 from .homs import component
 
@@ -21,8 +21,7 @@ def _tight(g: DividingSet, g2: DividingSet) -> bool:
     tight rows."""
     if (g.n, g.e) != (g2.n, g2.e):
         raise ComponentMismatch(f"({g.n},{g.e}) vs ({g2.n},{g2.e})")
-    comp = component(g.n, g.e)
-    return bool(comp.tight_row(comp.id(g)) >> comp.id(g2) & 1)
+    return bool(component(g.n, g.e).tight_row(basic_index(g)) >> basic_index(g2) & 1)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import BadBase, EulerMismatch, IndexOutOfRange
+from .errors import BadBase, EulerMismatch, IndexOutOfRange, NotBasic
 
 NestVector = tuple  # () is the based symbol; otherwise a tuple of positive ints
 STAR: NestVector = ()
@@ -64,7 +64,7 @@ class DividingSet:
         return DividingSet(n, e, items)
 
     # The label map, the chords, the non-based and non-boundary-parallel
-    # vectors and the geometry (see `geometry`) are facts of the dividing
+    # vectors, the basic index and the geometry are facts of the dividing
     # set alone, so each is computed once per instance and kept in its
     # __dict__, as the hash is.  The component index hands out one
     # interned instance per object, so these are not computed twice.
@@ -337,13 +337,13 @@ def enumerate_objects(n: int, e: int) -> tuple[DividingSet, ...]:
 def basic_of(n: int, e: int, based: Iterable[int]) -> DividingSet:
     """The basic dividing set with this based label set.
 
-    Equal arguments give the same instance, so tables keyed by basic sets
-    find their keys by identity.
+    Equal arguments give the same instance, so the facts kept on it
+    (see DividingSet) are computed once per basic set.
     """
     return _basic(n, e, tuple(sorted(based)))
 
 
-@lru_cache(maxsize=None)  # one instance per basic set, which interning relies on
+@lru_cache(maxsize=None)  # one instance per basic set, sharing its kept facts
 def _basic(n: int, e: int, s: tuple[int, ...]) -> DividingSet:
     if len(s) != e + 1 or not s or s[0] != 0 or s[-1] > n:
         raise BadBase(f"based set must contain 0 and have e+1={e + 1} labels in 0..n")
@@ -360,6 +360,23 @@ def basic_sets(n: int, e: int) -> tuple[DividingSet, ...]:
     out = [basic_of(n, e, (0,) + c) for c in itertools.combinations(range(1, n + 1), e)]
     assert len(out) == comb(n, e)
     return tuple(sorted(out, key=lambda d: d.star))
+
+
+def basic_index(ds: DividingSet) -> int:
+    """The place of a basic ds in basic_sets(n, e), which names its
+    projective summand: the lexicographic rank of its based set among the
+    e-subsets of 1..n, counted by binomials and kept on the instance."""
+    r = ds.__dict__.get("_basic_index")
+    if r is None:
+        if not ds.is_basic():
+            raise NotBasic(repr(ds))
+        r, prev, left = 0, 0, ds.e
+        for s in ds.star[1:]:
+            left -= 1  # count the subsets that agree before s and hold a t < s there
+            r += sum(comb(ds.n - t, left) for t in range(prev + 1, s))
+            prev = s
+        ds.__dict__["_basic_index"] = r
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +459,6 @@ class Geometry:
     """The chord diagram's face structure, kept once per instance."""
 
     ds: DividingSet
-    matching: Matching
     comp_of_chord: Mapping[tuple[int, int], NestVector]
     neg_regions: tuple[NegRegion, ...]
     neg_of_chord: Mapping[tuple[int, int], int]
@@ -484,7 +500,7 @@ def _faces(ds: DividingSet) -> Geometry:
         for _, c in walk:
             neg_of_chord[c] = region.index
         regions.append(region)
-    return Geometry(ds, m, comp_of_chord, tuple(regions), neg_of_chord)
+    return Geometry(ds, comp_of_chord, tuple(regions), neg_of_chord)
 
 
 def chord_sides(n: int, c: tuple[int, int]) -> tuple[frozenset[int], frozenset[int]]:

@@ -38,6 +38,7 @@ from .divset import (
     STAR,
     DividingSet,
     NestVector,
+    basic_index,
     basic_of,
     chord_slots,
     geometry,
@@ -107,19 +108,19 @@ def _build_F(comp: Component, ds: DividingSet) -> Complex:
         heights.append(hs)
         moves.append(ms)
     everything = frozenset(range(ds.n + 1))
-    summands, ids, d = [], [], set()
+    summands, d = [], set()
     for p, t in enumerate(index_tuples(ds)):
         base = everything.difference([ls[i] for ls, i in zip(labels, t)])
         h = sum(hs[i] for hs, i in zip(heights, t))
         summands.append(ProjSummand(basic_of(ds.n, ds.e, base), -h))
-        ids.append(comp.id(summands[p].gamma))
         for c, i in enumerate(t):
             if i == 0:
                 continue
             nested, jump = moves[c][i]
             if all(t[w] == 0 for w in nested):
                 q = p + jump
-                assert comp.tight_row(ids[p]) >> ids[q] & 1
+                b, b2 = summands[p].gamma, summands[q].gamma
+                assert comp.tight_row(basic_index(b)) >> basic_index(b2) & 1
                 d.add((p, q))
     return Complex(tuple(summands), frozenset(d))
 
@@ -280,8 +281,8 @@ def _chain_map_F(comp: Component, m: int) -> ChainMap:
             j = place(common.union([labels[c][t[c]] for c in keep]))
         else:
             continue
-        a = comp.id(src.summands[i].gamma)
-        assert comp.tight_row(a) >> comp.id(dst.summands[j].gamma) & 1
+        b, b2 = src.summands[i].gamma, dst.summands[j].gamma
+        assert comp.tight_row(basic_index(b)) >> basic_index(b2) & 1
         entries.add((i, j))
     k = _constant_degree(src, dst, entries)
     return ChainMap(src, dst, k, frozenset(entries))

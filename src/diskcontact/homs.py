@@ -29,7 +29,7 @@ from collections import deque
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
-from .divset import DividingSet, Matching, basic_of, basic_sets, enumerate_objects
+from .divset import DividingSet, Matching, basic_sets, enumerate_objects
 from .divset import from_matching, to_matching
 from .errors import ComponentMismatch, NotBasic
 
@@ -167,21 +167,25 @@ class Component:
     Objects get integer ids on first use, so a point query interns only
     the objects it touches, and every object the library builds inside
     the component (an attach target, a triangle vertex, a rotation) is
-    returned as the interned instance.  An id is found by address, by
-    equality or by matching; attach targets and rotations are found by
-    matching, so only a new matching is decoded.  Moves are interned the
-    same way, with their own ids, found by address or by equality.  A
-    mask is an int whose bit i stands for the object with id i.
+    returned as the interned instance; an object, basic or not, is
+    interned as the first equal instance asked for.  An id is found by
+    address, by equality or by matching; attach targets and rotations are
+    found by matching, so only a new matching is decoded.  Moves are
+    interned the same way, with their own ids, found by address or by
+    equality.  A mask is an int whose bit i stands for the object with
+    id i.  A projective summand has no id: it is named by its basic index
+    (`divset.basic_index`), and a tight row is keyed by one and is a mask
+    over them, so what a complex keeps outlives the component.
 
     Kept here, filled on demand and dropped with the component when
     `component` evicts it: the bypass moves of each object with their
     targets and, once a move is looked up by its chords, a table from
     their chord triples to their ids (`move_at`), each object's rotation
-    (`rotate`), hom rows, tight rows (basic objects only), reachability
-    closures of orbit representatives, and the tables other modules
-    fill: bypass triangles, F-images, bypass chain maps and induced
-    rotation blocks.  Hom rows are filled only as a whole table
-    (`hom_table`, which the first hom_out or hom_in fills), and a
+    (`rotate`), hom rows, tight rows, reachability closures of orbit
+    representatives, and the tables other modules fill: bypass
+    triangles, F-images, bypass chain maps and induced rotation blocks
+    (by pairs of basic indices).  Hom rows are filled only as a whole
+    table (`hom_table`, which the first hom_out or hom_in fills), and a
     composition mask covers the whole component too, so asking for
     either enumerates it; a point query reads `_stage_filter`, which
     fills no row.  Each object's moves come from `bypass.find_moves`,
@@ -211,16 +215,13 @@ class Component:
     source with no stop.
 
     Four unbounded caches stay outside: divset's `enumerate_objects` and
-    `basic_sets` hold one entry per (n, e), `divset._basic` the one
-    instance per basic set that interning relies on, and
-    `rounded_components` is read by the benchmark's tracer.
+    `basic_sets` hold one entry per (n, e), `divset._basic` one instance
+    per basic set, whose kept facts it shares, and `rounded_components`
+    is read by the benchmark's tracer.
     """
 
     def __init__(self, n: int, e: int):
         self.n, self.e = n, e
-        # stands for this component in data kept outside it (summand ids
-        # on a complex), so a rebuilt component never reads them
-        self.token = object()
         self.objects: list[DividingSet] = []
         self.matchings: list[Matching] = []
         self._ids: dict[DividingSet, int] = {}
@@ -237,7 +238,7 @@ class Component:
         self._successors: dict[int, tuple[tuple[int, BypassMove], ...]] = {}
         self._out: dict[int, int] = {}  # i -> mask of j with Hom(i, j) != 0
         self._in: dict[int, int] = {}  # j -> mask of i with Hom(i, j) != 0
-        self._tight: dict[int, int] = {}  # basic i -> mask of basic j, tight_basic(i, j)
+        self._tight: dict[int, int] = {}  # basic index b -> mask of c with tight_basic(b, c)
         self._rotated: dict[int, int] = {}  # i -> id of σi
         # (representative, shift, powers) once the component is enumerated; see _orbits
         self._orbit_table: Optional[tuple[list[int], list[int], list[list[int]]]] = None
@@ -248,13 +249,11 @@ class Component:
         self.triangles: dict[int, Triangle] = {}  # by move id
         self.f_images: dict[int, Complex] = {}  # by object id
         self.chain_maps: dict[int, ChainMap] = {}  # by move id
-        self.rotation_blocks: dict[tuple[int, int], ChainMap] = {}  # by (src id, dst id)
+        self.rotation_blocks: dict[tuple[int, int], ChainMap] = {}  # by (src, dst) basic index
 
     def id(self, g: DividingSet) -> int:
         # Only interned instances are recorded by address; self.objects
-        # keeps them alive, so an address hit is the object itself.  A
-        # basic object is interned as the one instance basic_of returns,
-        # whichever equal instance is asked first, so summands hit here.
+        # keeps them alive, so an address hit is the object itself.
         i = self._by_address.get(id(g))
         if i is None:
             i = self._ids.get(g)
@@ -271,8 +270,6 @@ class Component:
         return i
 
     def _add(self, g: DividingSet, m: Matching) -> int:
-        if g.is_basic():
-            g = basic_of(g.n, g.e, g.star)
         i = self._ids[g] = self._by_address[id(g)] = self._by_matching[m] = len(self.objects)
         self.objects.append(g)
         self.matchings.append(m)
@@ -440,17 +437,18 @@ class Component:
         self._in = {j: _mask(cols[j]) for j in ids}
         self._out = out  # last: a nonempty _out means the table is filled
 
-    def tight_row(self, i: int) -> int:
-        """Mask of the basic j with tight_basic(i, j), for a basic object i.
+    def tight_row(self, b: int) -> int:
+        """Mask of the basic indices c with tight_basic(B[b], B[c]), where
+        B = basic_sets(n, e) and b is a basic index (divset.basic_index).
 
-        Filled from basic_sets(n, e), so it interns the basic objects and
-        never enumerates the component.
+        Filled from B alone, so it interns nothing and never enumerates
+        the component.
         """
-        row = self._tight.get(i)
+        row = self._tight.get(b)
         if row is None:
-            g = self.objects[i]
-            row = self._tight[i] = _mask(
-                self.id(b) for b in basic_sets(self.n, self.e) if tight_basic(g, b)
+            basics = basic_sets(self.n, self.e)
+            row = self._tight[b] = _mask(
+                c for c, g in enumerate(basics) if tight_basic(basics[b], g)
             )
         return row
 
@@ -499,27 +497,18 @@ class Component:
             mask = _mask(perm[y] for y in _bits(mask))
         return mask
 
-    def _reached(self, start: int, anchor: int, into: bool) -> int:
-        """Mask of the stages that bypass_search(self, start, anchor, into)
-        reaches: start, and the closures of its kept successors."""
-        mask = self._closure_at(anchor, start, into)
-        if not mask:  # a kept stage reaches itself, so start is not kept
-            mask = 1 << start
-            for t, _ in self.successors(start):
-                mask |= self._closure_at(anchor, t, into)
-        return mask
-
     # Composition masks.  Bit for bit they equal composition_nonzero
     # (middles, sources, targets) and composition_nonzero_right
     # (middles_right) with one position left free.  With the left (or
     # right) factor nonzero, the search starts inside its anchor's kept
-    # set, so one closure per anchor answers every start.
+    # set, so its anchor's closure at the start is the mask of the stages
+    # bypass_search reaches, and one closure per anchor answers every start.
 
     def middles(self, i: int, k: int) -> int:
         """Mask of j with composition_nonzero(i, j, k)."""
         if not self.hom_out(i) >> k & 1:
             return 0
-        return self.hom_out(i) & self.hom_in(k) & (self._reached(i, k, True) | 1 << k)
+        return self.hom_out(i) & self.hom_in(k) & (self._closure_at(k, i, True) | 1 << k)
 
     def middles_right(self, i: int, k: int) -> int:
         """Mask of j with composition_nonzero_right(i, j, k)."""
@@ -546,7 +535,7 @@ class Component:
         both = self.hom_out(i) & self.hom_out(j)
         if any(t == j for t, _ in self.successors(i)):
             return both  # every anchor that keeps j keeps the move i -> j
-        reached = _mask(k for k in _bits(both) if self._reached(i, k, True) >> j & 1)
+        reached = _mask(k for k in _bits(both) if self._closure_at(k, i, True) >> j & 1)
         return both & (reached | 1 << j)
 
 

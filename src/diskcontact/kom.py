@@ -26,7 +26,7 @@ from itertools import accumulate
 from typing import Iterable, Iterator, Optional
 
 from . import gf2
-from .divset import DividingSet, ds_from_json, ds_to_json, int_from_json
+from .divset import DividingSet, basic_index, ds_from_json, ds_to_json, int_from_json
 from .errors import ComponentMismatch, NotBasic, ShapeMismatch
 from .homs import Component, component, tight_basic
 
@@ -81,41 +81,40 @@ def _entry_ok(a: ProjSummand, b: ProjSummand, k: int) -> bool:
     return b.h == a.h + k and tight_basic(a.gamma, b.gamma)
 
 
-def _summand_ids(c: Complex) -> tuple[Optional[Component], tuple[int, ...]]:
-    """The component index of c's summands and each summand's id in it, or
-    (None, ()) for an empty complex.
+def _mismatch(ne: tuple[int, int], ne2: tuple[int, int]) -> ComponentMismatch:
+    return ComponentMismatch("({},{}) vs ({},{})".format(*ne, *ne2))
 
-    The ids are looked up once per complex and kept on it with the token
-    of the component that issued them, so a component rebuilt after an
-    eviction looks them up again instead of reading stale ids.  Raises
-    ComponentMismatch when the summands lie in more than one component.
-    """
-    if not c.summands:
-        return None, ()
-    g = c.summands[0].gamma
-    comp = component(g.n, g.e)
+
+def _summand_ids(c: Complex) -> tuple[Optional[tuple[int, int]], tuple[int, ...]]:
+    """The (n, e) of c's summands and each summand's basic index, or
+    (None, ()) for an empty complex, kept on c once computed: they name
+    no component index, so they outlive it.  Raises ComponentMismatch
+    when the summands lie in more than one component."""
     kept = c.__dict__.get("_ids")
-    if kept is not None and kept[0] is comp.token:
-        return comp, kept[1]
-    for s in c.summands:
-        if (s.gamma.n, s.gamma.e) != (g.n, g.e):
-            raise ComponentMismatch(f"({g.n},{g.e}) vs ({s.gamma.n},{s.gamma.e})")
-    ids = tuple(comp.id(s.gamma) for s in c.summands)
-    c.__dict__["_ids"] = (comp.token, ids)
-    return comp, ids
+    if kept is None:
+        if not c.summands:
+            return None, ()
+        g = c.summands[0].gamma
+        for s in c.summands:
+            if (s.gamma.n, s.gamma.e) != (g.n, g.e):
+                raise _mismatch((g.n, g.e), (s.gamma.n, s.gamma.e))
+        ids = tuple(basic_index(s.gamma) for s in c.summands)
+        kept = c.__dict__["_ids"] = ((g.n, g.e), ids)
+    return kept
 
 
 def _pair_ids(
     src: Complex, dst: Complex
 ) -> tuple[Optional[Component], tuple[int, ...], tuple[int, ...]]:
-    """_summand_ids of both complexes, which must share one component."""
-    comp, a = _summand_ids(src)
-    comp2, b = _summand_ids(dst)
-    if comp is None:
-        return comp2, a, b
-    if comp2 is not None and (comp2.n, comp2.e) != (comp.n, comp.e):
-        raise ComponentMismatch(f"({comp.n},{comp.e}) vs ({comp2.n},{comp2.e})")
-    return comp, a, b
+    """The component index of two complexes, which must share one (None
+    when both are empty), and their summands' basic indices."""
+    ne, a = _summand_ids(src)
+    ne2, b = _summand_ids(dst)
+    if ne is None:
+        ne = ne2
+    elif ne2 is not None and ne2 != ne:
+        raise _mismatch(ne, ne2)
+    return (None if ne is None else component(*ne)), a, b
 
 
 def _compose_entries(
@@ -346,9 +345,9 @@ def equivalent(a: Complex, b: Complex) -> bool:
     ComponentMismatch when a complex mixes components.
     """
     a, b = simplify(a), simplify(b)
-    comp_a, ids_a = _summand_ids(a)
-    comp_b, ids_b = _summand_ids(b)
-    if comp_a is not None and comp_b is not None and comp_a is not comp_b:
+    ne_a, ids_a = _summand_ids(a)
+    ne_b, ids_b = _summand_ids(b)
+    if ne_a is not None and ne_b is not None and ne_a != ne_b:
         return False
     keys_a = [(x, s.h) for x, s in zip(ids_a, a.summands)]
     keys_b = [(x, s.h) for x, s in zip(ids_b, b.summands)]
@@ -473,16 +472,14 @@ class ColumnRetracts:
     """The columns Hom(src, P_b) of one source, each reduced on first use.
 
     Built by `column_retracts` and read by `hom_by_degree_from`,
-    `hom_total_from` and `is_nullhomotopic_from`.  Valid while the
-    component that issued src's summand ids lives.
+    `hom_total_from` and `is_nullhomotopic_from`.  Columns are keyed by
+    basic index, so the retracts hold no component index and outlive it.
     """
 
     def __init__(self, src: Complex):
         self.src = src
-        self.comp, ids = _summand_ids(src)
-        # dst ids issued under this token are ids in self.comp
-        self._token = self.comp.token if self.comp is not None else None
-        self._rows = [self.comp.tight_row(x) for x in ids] if ids else []
+        self._ne, ids = _summand_ids(src)
+        self._rows = list(map(component(*self._ne).tight_row, ids)) if ids else []
         self.degrees = src.degrees()
         self._src_in = [0] * src.size
         for i, j in src.d:
@@ -491,18 +488,11 @@ class ColumnRetracts:
 
     def columns(self, dst: Complex) -> list[_Column]:
         """The reduced column of each summand of dst, in dst's order."""
-        kept = dst.__dict__.get("_ids")
-        if kept is not None and kept[0] is self._token:
-            ids = kept[1]
-        else:
-            comp, ids = _summand_ids(dst)
-            if self.comp is None or comp is None:
-                return [_EMPTY_COLUMN] * dst.size
-            if comp is not self.comp:
-                raise ComponentMismatch(
-                    f"({self.comp.n},{self.comp.e}) vs ({comp.n},{comp.e}), "
-                    "or a component rebuilt since the retracts were"
-                )
+        ne, ids = _summand_ids(dst)
+        if ne != self._ne:
+            if ne is not None and self._ne is not None:
+                raise _mismatch(self._ne, ne)
+            return [_EMPTY_COLUMN] * dst.size
         cache = self._columns
         try:
             return [cache[b] for b in ids]
@@ -683,10 +673,10 @@ def simplify(c: Complex) -> Complex:
     Repeatedly cancels a pair connected by an identity map, correcting the
     remaining differential by the zig-zag through the removed pair.
     """
-    comp, ids = _summand_ids(c)
+    ne, ids = _summand_ids(c)
     summands = list(c.summands)
     ids = list(ids)
-    rows = [comp.tight_row(x) for x in ids]
+    rows = list(map(component(*ne).tight_row, ids)) if ids else []
     d = set(c.d)
     while True:
         pivot = next(((i, j) for (i, j) in sorted(d) if ids[i] == ids[j]), None)
@@ -717,7 +707,7 @@ def simplify(c: Complex) -> Complex:
 
 
 def serre_resolution(g: DividingSet) -> Complex:
-    """Image of P(g) under the dual-bimodule functor, as an explicit complex.
+    """Image of P(g) under the dual-bimodule functor: F of the rotated object.
 
     A single projective on the rotated object when label 1 is in the base;
     otherwise the length e+1 complex of projectives on the rotations'
@@ -728,13 +718,7 @@ def serre_resolution(g: DividingSet) -> Complex:
 
     if not g.is_basic():
         raise NotBasic(repr(g))
-    sg = serre_rotate(g)
-    if 1 in g.star:
-        assert sg.is_basic()
-        return projective(sg)
-    res = build_F(sg)
-    assert res.size == g.e + 1
-    return res
+    return build_F(serre_rotate(g))
 
 
 def _induced_block(gi: DividingSet, gj: DividingSet) -> ChainMap:
@@ -743,7 +727,7 @@ def _induced_block(gi: DividingSet, gj: DividingSet) -> ChainMap:
     from .functor import F_of_morphism
 
     comp = component(gi.n, gi.e)
-    key = (comp.id(gi), comp.id(gj))
+    key = (basic_index(gi), basic_index(gj))
     f = comp.rotation_blocks.get(key)
     if f is None:
         f = F_of_morphism(serre_rotate(gi), serre_rotate(gj))

@@ -570,15 +570,13 @@ def suite_algebra(n: int, e: int) -> SuiteReport:
             return {k: v for k, v in rep["checks"].items() if not v["ok"]}
 
     def matches_composition():
+        # a basic set's place in B is its basic index, which tight rows read
         B = basic_sets(n, e)
-        comp = homs.component(n, e)
-
-        def tight(g, g2) -> bool:
-            return bool(comp.tight_row(comp.id(g)) >> comp.id(g2) & 1)
-
-        for g, g2, g3 in itertools.product(B, repeat=3):
-            if not (tight(g, g2) and tight(g2, g3)):
+        rows = list(map(homs.component(n, e).tight_row, range(len(B))))
+        for a, b, c in itertools.product(range(len(B)), repeat=3):
+            if not (rows[a] >> b & 1 and rows[b] >> c & 1):
                 continue
+            g, g2, g3 = B[a], B[b], B[c]
             prod = algebra.multiply(algebra.generator(g, g2), algebra.generator(g2, g3))
             if (not prod.is_zero()) != homs.composition_nonzero(g, g2, g3):
                 return {"g": ds_to_json(g), "g2": ds_to_json(g2), "g3": ds_to_json(g3)}

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from diskcontact.divset import (
     STAR,
     DividingSet,
+    basic_index,
     basic_of,
     basic_sets,
     ds_from_json,
@@ -21,7 +22,7 @@ from diskcontact.divset import (
     to_matching,
     validate,
 )
-from diskcontact.errors import BadBase, EulerMismatch, IndexOutOfRange
+from diskcontact.errors import BadBase, EulerMismatch, IndexOutOfRange, NotBasic
 
 import oracle
 from conftest import pairs_up_to
@@ -151,6 +152,19 @@ def test_basic_of_errors():
         basic_of(4, 2, {1, 2, 3})  # no 0
     with pytest.raises(BadBase):
         basic_of(4, 2, {0, 1})  # wrong size
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_basic_index_is_the_place_in_basic_sets(n):
+    for e in range(n + 1):
+        for i, g in enumerate(basic_sets(n, e)):
+            copy = DividingSet.make(n, e, dict(g.components))
+            assert basic_index(g) == basic_index(copy) == i
+
+
+def test_basic_index_requires_basic(ex_g1):
+    with pytest.raises(NotBasic):
+        basic_index(ex_g1)
 
 
 def test_is_basic(ex_g1):

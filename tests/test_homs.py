@@ -264,19 +264,6 @@ def test_hom_nonzero_reads_a_filled_row(monkeypatch):
         homs.component.cache_clear()
 
 
-def test_component_interns_the_shared_basic_instance():
-    g = basic_of(4, 2, {0, 1, 3})
-    copy = DividingSet.make(4, 2, dict(g.components))
-    assert copy == g and copy is not g
-    homs.component.cache_clear()
-    try:
-        assert hom_nonzero(copy, copy)
-        comp = component(4, 2)
-        assert comp.objects[comp.id(copy)] is g
-    finally:
-        homs.component.cache_clear()
-
-
 def test_matching_index_is_a_bijection_after_the_hom_table():
     comp = homs.Component(6, 3)
     comp.hom_table()
@@ -301,9 +288,10 @@ def test_point_attach_interns_only_the_objects_it_touches():
 
 @pytest.mark.parametrize("n,e", pairs_up_to(5) + [(6, 2)])
 def test_closures_match_the_bypass_search(n, e):
-    # reach from any start, kept or not, and the closure masks of every
-    # anchor, relabeled from its representative's, against one
-    # breadth-first search per (start, anchor)
+    # the closure masks of every anchor at every start, relabeled from its
+    # representative's, against one breadth-first search per (start,
+    # anchor): a kept start's mask is what the search reaches, and a start
+    # that is not kept has no mask
     comp = component(n, e)
     ids = comp.ids()
     for anchor, into in itertools.product(ids, (True, False)):
@@ -311,7 +299,6 @@ def test_closures_match_the_bypass_search(n, e):
         keep = comp._stage_filter(anchor, into)
         kept = [s for s in ids if keep(s)]
         for s in ids:
-            assert comp._reached(s, anchor, into) == searched[s]
             forward = comp._closure_at(anchor, s, into)
             reaching = comp._closure_at(anchor, s, into, reverse=True)
             if keep(s):

@@ -3,7 +3,14 @@ import itertools
 import pytest
 
 from diskcontact import bypass, functor, gf2, homs, kom
-from diskcontact.divset import STAR, DividingSet, basic_of, basic_sets, enumerate_objects
+from diskcontact.divset import (
+    STAR,
+    DividingSet,
+    basic_index,
+    basic_of,
+    basic_sets,
+    enumerate_objects,
+)
 from diskcontact.errors import ComponentMismatch, NotBasic, ShapeMismatch
 from diskcontact.homs import tight_basic
 from diskcontact.kom import (
@@ -446,8 +453,8 @@ def test_hom_complex_scans_summand_pairs_once(ex_g3, ex_g4, monkeypatch):
 
     retracts = kom.column_retracts(a)
     comp = homs.component(4, 2)
-    rows = [comp.tight_row(comp.id(s.gamma)) for s in a.summands]
-    columns = {comp.id(s.gamma) for s in b.summands + a.summands}
+    rows = [comp.tight_row(basic_index(s.gamma)) for s in a.summands]
+    columns = {basic_index(s.gamma) for s in b.summands + a.summands}
     tight = {x for x in columns if any(row >> x & 1 for row in rows)}
     for dst in (b, a, b, a):
         kom.hom_by_degree_from(retracts, dst)
@@ -470,13 +477,13 @@ def test_tight_rows_equal_greedy_criterion(n, monkeypatch):
         for e in range(n + 1):
             comp = homs.component(n, e)
             basics = basic_sets(n, e)
-            ids = {comp.id(b): b for b in basics}
             for g in basics:
-                row = comp.tight_row(comp.id(g))
-                assert row >> len(comp.objects) == 0
-                assert {i for i in ids if row >> i & 1} == {
-                    comp.id(b) for b in basics if tight_basic(g, b)
+                row = comp.tight_row(basic_index(g))
+                assert row >> len(basics) == 0
+                assert {c for c in range(len(basics)) if row >> c & 1} == {
+                    basic_index(b) for b in basics if tight_basic(g, b)
                 }
+            assert not comp.objects  # reading rows interns nothing
     finally:
         homs.component.cache_clear()
 
@@ -602,6 +609,46 @@ def test_summand_ids_are_looked_up_again_in_a_rebuilt_component():
             for s in reversed(c.summands):
                 comp.id(s.gamma)
         assert [hom_by_degree(a, b) for a in images for b in images] == want
+    finally:
+        homs.component.cache_clear()
+
+
+def _answers(images, maps, squares):
+    """What kom answers about these F-images, bypass maps and square sides."""
+    cones = [cone(ChainMap(f.src, shift(f.dst, f.k), 0, f.entries)) for f in maps]
+    return (
+        [hom_by_degree(a, b) for a in images for b in images],
+        [hom_total(a, b) for a in images for b in images],
+        [equivalent(a, b) for a in images for b in images],
+        [is_nullhomotopic(f) for f in maps],
+        [find_homotopy(f, f2) for f, f2 in squares],
+        [compose(f, f2) for f, f2 in itertools.product(maps, repeat=2) if f.dst == f2.src],
+        [simplify(c) for c in cones],
+    )
+
+
+@pytest.mark.parametrize("n,e", [(4, 2), (5, 2)])
+def test_complexes_outlive_their_component(n, e, monkeypatch):
+    # summands are named by basic index, so kom reads no object id: the
+    # complexes answer the same in a rebuilt component that cannot issue
+    # one, kept as built or read back from JSON with no kept indices
+    objs = enumerate_objects(n, e)
+    images = [functor.build_F(g) for g in objs]
+    maps = [functor.chain_map_F(mv) for g in objs[::3] for mv in bypass.enumerate_bypasses(g)]
+    squares = [pair for g in objs[::3] for pair in _square_pairs(g)]
+    want = _answers(images, maps, squares)
+    assert any(want[0]) and any(want[2]) and any(h and h.entries for h in want[4]) and want[5]
+
+    def refuse(self, g):
+        raise AssertionError("kom looked up an object id")
+
+    homs.component.cache_clear()
+    monkeypatch.setattr(homs.Component, "id", refuse)
+    try:
+        assert _answers(images, maps, squares) == want
+        copies = [complex_from_json(complex_to_json(c)) for c in images]
+        assert all("_ids" not in c.__dict__ for c in copies)
+        assert _answers(copies, [], [])[:3] == want[:3]
     finally:
         homs.component.cache_clear()
 

@@ -1,9 +1,11 @@
-"""Named mutants of the functor and homs suites.
+"""Named mutants of the functor, homs, faithful and serre suites.
 
 Each mutant replaces one library function with a copy that breaks one
 stated fact, and pins the set of its suite's checks that fail under it
 at (3,1), (4,2) and (5,2).  A check that no mutant makes fail may test
 nothing; a mutant that stops failing marks a check that got weaker.
+Every check the suites emit there is pinned by some mutant or listed in
+UNCOVERED, the checks no mutant here makes fail yet.
 
 The homs checks that loop over one representative per rotation orbit
 must fail exactly as their loops over every object do (oracle.HOMS_LOOPS)
@@ -17,7 +19,7 @@ import pytest
 
 import oracle
 from diskcontact import bypass, functor, homs, suites
-from diskcontact.divset import geometry
+from diskcontact.divset import basic_sets, geometry
 
 IDENTITY = "homs.identity_one_curve"
 SPLITS = "functor.differential_splits_by_negative_region"
@@ -29,6 +31,28 @@ GREEDY = "homs.greedy_matches_rounding"
 SERRE = "homs.serre_duality_iff"
 STACK_ORDER = "homs.stack_order_insensitive"
 EXACTNESS = "homs.triangle_exactness"
+FAITHFUL = {
+    "faithful.endomorphisms_one_dimensional",
+    "faithful.reverse_bypass_hom_vanishes",
+    "faithful.hom_table_matches_contact_category",
+}
+ROTATION = {"serre.hom_into_rotation_nonzero", "serre.resolution_matches_lemma", "serre.calabi_yau_power"}
+UNCOVERED = {
+    "divset.basic_count_binomial",
+    "divset.count_vs_bruteforce",
+    "divset.enumerated_all_valid",
+    "divset.matching_roundtrip",
+    "divset.relative_nesting_partition",
+    "triangles.closure_degree_sum_region_rotation",
+    "triangles.consecutive_compositions_vanish",
+    "triangles.disjoint_pairs_commute",
+    "triangles.gamma_solves_composite",
+    "triangles.image_distinguished",
+    "algebra.presentation",
+    "algebra.multiplication_matches_composition",
+    "functor.differential_squares_to_zero",
+    "serre.rotation_has_order_n_plus_1",
+}
 
 
 def rim_corner_off_by_one(rim):
@@ -106,6 +130,23 @@ def target_slot_off_by_one(find_moves):
     return mutated
 
 
+def tight_row_transposed(tight_row):
+    def mutated(self, b):
+        size = len(basic_sets(self.n, self.e))
+        return homs._mask(c for c in range(size) if tight_row(self, c) >> b & 1)
+
+    return mutated
+
+
+def rotation_reversed(rotate):
+    def mutated(self, i):
+        m = self.matchings[i]
+        size = len(m)
+        return self.matching_id(tuple((m[(p - 2) % size] + 2) % size for p in range(size)))
+
+    return mutated
+
+
 # name: (the fact it breaks, suite, owner and name of the function replaced,
 # mutation, failing checks per (n, e))
 MUTANTS = {
@@ -176,6 +217,25 @@ MUTANTS = {
         # at (3,1) every move's ov has one chord, so no z moves
         {(3, 1): set(), (4, 2): {EQUIVARIANT, STACK_ORDER, EXACTNESS}, (5, 2): {EQUIVARIANT, STACK_ORDER, EXACTNESS}},
     ),
+    "tight_row_transposed": (
+        "the tight row of b holds the c with Hom(P_b, P_c) != 0, not those with Hom(P_c, P_b) != 0",
+        "faithful",
+        (homs.Component, "tight_row"),
+        tight_row_transposed,
+        {(3, 1): FAITHFUL, (4, 2): FAITHFUL, (5, 2): FAITHFUL},
+    ),
+    "rotation_reversed": (
+        "the rotation σ moves every label s to s-1, so m'[p] = m[p+2] - 2",
+        "serre",
+        (homs.Component, "rotate"),
+        rotation_reversed,
+        # the rotation functor's square check runs at n <= 3 only
+        {
+            (3, 1): ROTATION | {"serre.transform_commutes_with_functor"},
+            (4, 2): ROTATION,
+            (5, 2): ROTATION,
+        },
+    ),
 }
 # the mutants under which the homs checks may not loop over representatives
 NOT_EQUIVARIANT = {"last_move_dropped", "target_slot_off_by_one"}
@@ -202,3 +262,17 @@ def test_mutant_fails_exactly_its_checks(name, monkeypatch):
     assert got == want, fact
     for key, (reduced, unreduced) in loops.items():
         assert reduced == unreduced, key
+
+
+def test_every_check_is_pinned_or_uncovered():
+    catalogue = {ne for *_, want in MUTANTS.values() for ne in want}
+    homs.component.cache_clear()
+    try:
+        emitted = {
+            c.check_id for n, e in catalogue for rep in suites.run_suite("all", n, e) for c in rep.checks
+        }
+    finally:
+        homs.component.cache_clear()
+    pinned = {c for *_, want in MUTANTS.values() for ids in want.values() for c in ids}
+    assert not pinned & UNCOVERED
+    assert pinned | UNCOVERED == emitted
