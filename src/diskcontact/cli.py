@@ -14,6 +14,12 @@ Dividing sets are read as JSON objects {"n":..,"e":..,"components":[...]}
 with components carrying "v" ("*" or a list of positive integers) and
 "labels".  Bypass moves are {"uv":[...],"ov":[...],"x":..,"y":..,"z":..}.
 Exit codes: 0 success, 1 suite failure, 2 bad arguments, 3 invalid input.
+
+Each subcommand imports the layers it calls when it runs, so a run
+compiles only those: `enumerate` loads `divset` alone, `hom` adds
+`homs`, and `verify --suite homs` adds `suites`, `homs` and `bypass`;
+`kom`, `functor` and `algebra` load only for the commands and suites
+that call them.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ import argparse
 import json
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from . import algebra, bypass, functor, homs, kom, suites
 from .divset import (
     DividingSet,
     ds_from_json,
@@ -35,6 +41,15 @@ from .divset import (
     vector_from_json,
 )
 from .errors import DiskContactError, NotBasic
+
+if TYPE_CHECKING:
+    from .bypass import BypassMove
+    from .kom import Complex
+    from .suites import Check
+
+# the keys of suites.SUITES, in its order; the parser lists them without
+# importing suites
+SUITE_NAMES = ("divset", "homs", "algebra", "functor", "triangles", "serre", "faithful")
 
 EXIT_FAIL = 1
 EXIT_USAGE = 2
@@ -67,7 +82,9 @@ def _load_ds(text: str, max_n: int) -> DividingSet:
     return ds
 
 
-def _load_complex(text: str, max_n: int) -> kom.Complex:
+def _load_complex(text: str, max_n: int) -> Complex:
+    from . import kom
+
     try:
         c = kom.complex_from_json(json.loads(text))
     except NotBasic as exc:
@@ -82,7 +99,9 @@ def _load_complex(text: str, max_n: int) -> kom.Complex:
     return c
 
 
-def _load_move(ds: DividingSet, text: str) -> bypass.BypassMove:
+def _load_move(ds: DividingSet, text: str) -> BypassMove:
+    from . import bypass
+
     try:
         obj = json.loads(text)
         mv = bypass.BypassMove(
@@ -132,6 +151,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_hom(args) -> int:
+    from . import homs
+
     g = _load_ds(args.src, args.max_n)
     g2 = _load_ds(args.dst, args.max_n)
     try:
@@ -144,12 +165,16 @@ def cmd_hom(args) -> int:
 
 
 def cmd_complex(args) -> int:
+    from . import functor, kom
+
     g = _load_ds(args.ds, args.max_n)
     _emit(kom.complex_to_json(functor.build_F(g)))
     return 0
 
 
 def cmd_chainmap(args) -> int:
+    from . import functor, kom
+
     g = _load_ds(args.ds, args.max_n)
     mv = _load_move(g, args.move)
     f = functor.chain_map_F(mv)
@@ -158,6 +183,8 @@ def cmd_chainmap(args) -> int:
 
 
 def cmd_triangle(args) -> int:
+    from . import bypass, functor
+
     g = _load_ds(args.ds, args.max_n)
     mv = _load_move(g, args.move)
     tri = bypass.triangle(g, mv)
@@ -171,6 +198,8 @@ def cmd_triangle(args) -> int:
 
 
 def cmd_homdim(args) -> int:
+    from . import kom
+
     a = _load_complex(args.src, args.max_n)
     b = _load_complex(args.dst, args.max_n)
     if not (kom.verify_complex(a) and kom.verify_complex(b)):
@@ -183,7 +212,7 @@ def cmd_homdim(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_bounds(args.n, args.e, args.max_n)
-    if args.suite not in set(suites.SUITES) | {"all"}:
+    if args.suite not in SUITE_NAMES + ("all",):
         print(f"error: unknown suite {args.suite}", file=sys.stderr)
         return EXIT_USAGE
     heavy = {"functor", "triangles", "serre", "faithful"}
@@ -192,7 +221,9 @@ def cmd_verify(args) -> int:
             f"warning: homotopy-level suites at n={args.n} may be slow", file=sys.stderr
         )
 
-    def show(c: suites.Check) -> None:
+    from . import suites
+
+    def show(c: Check) -> None:
         # flushed per check, so a killed run still leaves what it finished
         print(f"{'PASS' if c.ok else 'FAIL'} {c.check_id} ({c.duration:.2f}s)", flush=True)
         if not c.ok and c.counterexample is not None:
@@ -212,10 +243,14 @@ def _dot_name(g: DividingSet) -> str:
 
 def cmd_export_dot(args) -> int:
     if args.what == "quiver":
+        from . import algebra
+
         _check_bounds(args.n, args.e, args.max_n)
         sys.stdout.write(algebra.quiver_dot(args.n, args.e))
         return 0
     if args.what == "bypass-graph":
+        from . import homs
+
         _check_bounds(args.n, args.e, args.max_n)
         lines = [f'digraph "bypass_{args.n}_{args.e}" {{']
         comp = homs.component(args.n, args.e)
@@ -231,6 +266,8 @@ def cmd_export_dot(args) -> int:
         if not args.ds or not args.move:
             print("error: triangle export needs --ds and --move", file=sys.stderr)
             return EXIT_USAGE
+        from . import bypass
+
         g = _load_ds(args.ds, args.max_n)
         mv = _load_move(g, args.move)
         tri = bypass.triangle(g, mv)
@@ -289,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         default="all",
-        help="all|" + "|".join(suites.SUITES),
+        help="all|" + "|".join(SUITE_NAMES),
     )
     p.set_defaults(fn=cmd_verify)
 

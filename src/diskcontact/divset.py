@@ -544,6 +544,14 @@ def int_from_json(x) -> int:
     return x
 
 
+def list_from_json(xs) -> list:
+    """xs when it is a JSON list; a string or an object, which Python would
+    iterate as well, raises TypeError instead."""
+    if not isinstance(xs, list):
+        raise TypeError(f"expected a list, got {xs!r}")
+    return xs
+
+
 def _ints_from_json(xs) -> tuple[int, ...]:
     """xs as a tuple when it is a JSON list of integers (see int_from_json)."""
     if not isinstance(xs, list) or any(type(x) is not int for x in xs):
@@ -569,7 +577,7 @@ def ds_from_json(obj: Mapping) -> DividingSet:
     """The dividing set of a JSON object; raises ValueError or TypeError on
     a value that is not of its JSON type or a vector listed twice."""
     comps: dict[NestVector, tuple[int, ...]] = {}
-    for c in obj["components"]:
+    for c in list_from_json(obj["components"]):
         v = vector_from_json(c["v"])
         if v in comps:
             raise ValueError(f"component {vector_to_json(v)} listed twice")

@@ -40,7 +40,7 @@ from .divset import (
     NestVector,
     basic_index,
     basic_of,
-    chord_slots,
+    chord_key,
     geometry,
     nesting_sets,
 )
@@ -136,15 +136,18 @@ def _rim(ds: DividingSet, region_index: int) -> Optional[list[tuple[int, int]]]:
     region's partial is then zero.  A region whose rim components are all
     boundary-parallel is the disk less their bigons, so the based
     component is on its rim too: the condition that some rim component is
-    not boundary-parallel needs no test here."""
-    slots = chord_slots(ds)
+    not boundary-parallel needs no test here.
+
+    The component comes from the kept geometry and the place from its
+    kept walk, so nothing is built for the whole object per region."""
+    geo = geometry(ds)
     col = {v: c for c, v in enumerate(ds.tpv)}
     rim = []
-    for ch in geometry(ds).neg_regions[region_index].chords:
-        v, j = slots[ch]
+    for ch in geo.neg_regions[region_index].chords:
+        v = geo.comp_of_chord[ch]
         if v == STAR:
             return None
-        rim.append((col[v], j))
+        rim.append((col[v], [chord_key(c) for c in ds.chords(v)].index(ch)))
     return rim
 
 

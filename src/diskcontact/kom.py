@@ -26,7 +26,7 @@ from itertools import accumulate
 from typing import Iterable, Iterator, Optional
 
 from . import gf2
-from .divset import DividingSet, basic_index, ds_from_json, ds_to_json, int_from_json
+from .divset import DividingSet, basic_index, ds_from_json, ds_to_json, int_from_json, list_from_json
 from .errors import ComponentMismatch, NotBasic, ShapeMismatch
 from .homs import Component, component, tight_basic
 
@@ -824,12 +824,14 @@ def complex_to_json(c: Complex) -> dict:
 
 
 def complex_from_json(obj: dict) -> Complex:
+    """The complex of a JSON object; raises TypeError or ValueError where a
+    value is not of its JSON type, as ds_from_json does."""
     summands = tuple(
-        ProjSummand(ds_from_json(s["gamma"]), int_from_json(s["h"])) for s in obj["summands"]
+        ProjSummand(ds_from_json(s["gamma"]), int_from_json(s["h"]))
+        for s in list_from_json(obj["summands"])
     )
-    return Complex(
-        summands, frozenset((int_from_json(i), int_from_json(j)) for i, j in obj["d"])
-    )
+    pairs = map(list_from_json, list_from_json(obj["d"]))
+    return Complex(summands, frozenset((int_from_json(i), int_from_json(j)) for i, j in pairs))
 
 
 def chain_map_to_json(f: ChainMap) -> dict:

@@ -6,6 +6,10 @@ executable form of the structural facts the library is built on:
 enumeration versus an independent oracle, curve counts versus the greedy
 criterion, chain-map laws, triangle identities, homotopy-level
 statements, the rotation functor, and faithfulness.
+
+This module imports only what the divset and homs suites call; the
+other suites import `kom`, `functor` and `algebra` when they run, so a
+homs run never compiles them.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Iterator, Optional
 
-from . import algebra, bypass, functor, homs, kom
+from . import bypass, homs
 from .divset import (
     DividingSet,
     basic_sets,
@@ -290,6 +294,8 @@ def _not_exact(first: int, second: int, hom: int) -> int:
 
 
 def suite_functor(n: int, e: int) -> SuiteReport:
+    from . import functor, kom
+
     r = _Runner("functor", n, e)
     objs = enumerate_objects(n, e)
 
@@ -363,6 +369,8 @@ def suite_functor(n: int, e: int) -> SuiteReport:
 
 
 def suite_triangles(n: int, e: int) -> SuiteReport:
+    from . import functor, kom
+
     r = _Runner("triangles", n, e)
     objs = enumerate_objects(n, e)
 
@@ -454,6 +462,8 @@ def suite_triangles(n: int, e: int) -> SuiteReport:
 
 
 def suite_serre(n: int, e: int) -> SuiteReport:
+    from . import functor, kom
+
     r = _Runner("serre", n, e)
     objs = enumerate_objects(n, e)
 
@@ -511,6 +521,8 @@ def suite_serre(n: int, e: int) -> SuiteReport:
 
 
 def suite_faithful(n: int, e: int) -> SuiteReport:
+    from . import functor, kom
+
     r = _Runner("faithful", n, e)
     objs = enumerate_objects(n, e)
 
@@ -562,6 +574,8 @@ def suite_faithful(n: int, e: int) -> SuiteReport:
 
 
 def suite_algebra(n: int, e: int) -> SuiteReport:
+    from . import algebra
+
     r = _Runner("algebra", n, e)
 
     def presentation():

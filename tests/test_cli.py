@@ -337,6 +337,30 @@ def test_homdim_empty_complex_is_zero(capsys):
         assert code == 0 and json.loads(out) == {"by_degree": {}, "total": 0}
 
 
+_ONE_SUMMAND_NO_D = json.dumps({"summands": [{"gamma": P_N1, "h": 0}], "d": ""})
+_D_AS_OBJECT = json.dumps({"summands": [], "d": {}})
+
+
+# Each input was read as an empty list (exit 0, or 3 for the dividing sets)
+# before the JSON list fields were required to be lists.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homdim", "--src", json.dumps({"summands": "", "d": ""}), "--dst", EMPTY_CX],
+        ["homdim", "--src", _D_AS_OBJECT, "--dst", EMPTY_CX],
+        ["homdim", "--src", EMPTY_CX, "--dst", _D_AS_OBJECT],
+        ["homdim", "--src", _ONE_SUMMAND_NO_D, "--dst", _ONE_SUMMAND_NO_D],
+        ["complex", "--ds", json.dumps({"n": 0, "e": 0, "components": ""})],
+        ["complex", "--ds", json.dumps({"n": 0, "e": 0, "components": {}})],
+    ],
+    ids=["summands-and-d-strings", "src-d-object", "dst-d-object", "one-summand-d-string",
+         "components-string", "components-object"],
+)
+def test_json_list_fields_must_be_lists(capsys, argv):
+    assert main(argv) == 2
+    assert "unparseable" in capsys.readouterr().err
+
+
 def test_removed_options_are_rejected(capsys):
     assert main(["--jobs", "2", "enumerate", "--n", "1", "--e", "0"]) == 2
     assert main(["--seed", "1", "enumerate", "--n", "1", "--e", "0"]) == 2

@@ -1,16 +1,17 @@
-"""Named mutants of the functor, homs, faithful and serre suites.
+"""Named mutants of the library, each run against every suite it touches.
 
 Each mutant replaces one library function with a copy that breaks one
-stated fact, and pins the set of its suite's checks that fail under it
-at (3,1), (4,2) and (5,2).  A check that no mutant makes fail may test
-nothing; a mutant that stops failing marks a check that got weaker.
-Every check the suites emit there is pinned by some mutant or listed in
-UNCOVERED, the checks no mutant here makes fail yet.
+stated fact.  It names every suite in which some check fails under it,
+and pins the set of those suites' checks that fail at (3,1), (4,2) and
+(5,2).  A check that no mutant makes fail may test nothing; a mutant
+that stops failing marks a check that got weaker.  Every check the
+suites emit there is pinned by some mutant or listed in UNCOVERED, the
+checks no mutant here makes fail yet.
 
 The homs checks that loop over one representative per rotation orbit
 must fail exactly as their loops over every object do (oracle.HOMS_LOOPS)
-under every mutant that keeps the rotation equivariance; a mutant that
-breaks it must fail homs.rotation_equivariant.
+under every mutant that keeps the rotation and its equivariance; a
+mutant that breaks the equivariance must fail homs.rotation_equivariant.
 """
 
 import dataclasses
@@ -26,31 +27,36 @@ SPLITS = "functor.differential_splits_by_negative_region"
 COMMUTE = "functor.region_partials_commute"
 CHAIN_MAPS = "functor.bypass_chain_maps_with_degree_formula"
 SPLIT_LAWS = "functor.index_split_laws"
+SQUARES = "functor.differential_squares_to_zero"
 EQUIVARIANT = "homs.rotation_equivariant"
 GREEDY = "homs.greedy_matches_rounding"
 SERRE = "homs.serre_duality_iff"
 STACK_ORDER = "homs.stack_order_insensitive"
 EXACTNESS = "homs.triangle_exactness"
-FAITHFUL = {
-    "faithful.endomorphisms_one_dimensional",
-    "faithful.reverse_bypass_hom_vanishes",
-    "faithful.hom_table_matches_contact_category",
-}
-ROTATION = {"serre.hom_into_rotation_nonzero", "serre.resolution_matches_lemma", "serre.calabi_yau_power"}
+PRESENTATION = "algebra.presentation"
+PRODUCT = "algebra.multiplication_matches_composition"
+ENDS = "faithful.endomorphisms_one_dimensional"
+REVERSE = "faithful.reverse_bypass_hom_vanishes"
+TABLE = "faithful.hom_table_matches_contact_category"
+FAITHFUL = {ENDS, REVERSE, TABLE}
+INTO_ROTATION = "serre.hom_into_rotation_nonzero"
+RESOLUTION = "serre.resolution_matches_lemma"
+CALABI_YAU = "serre.calabi_yau_power"
+TRANSFORM = "serre.transform_commutes_with_functor"  # run at n <= 3 only
+ROTATION = {INTO_ROTATION, RESOLUTION, CALABI_YAU}
+CLOSURE = "triangles.closure_degree_sum_region_rotation"
+COMPOSITIONS = "triangles.consecutive_compositions_vanish"
+GAMMA = "triangles.gamma_solves_composite"
+DISTINGUISHED = "triangles.image_distinguished"
+DISJOINT = "triangles.disjoint_pairs_commute"
+# what a wrong curve count breaks beyond the homs suite
+CURVE_COUNT_USERS = {PRODUCT, INTO_ROTATION, CALABI_YAU, TABLE}
 UNCOVERED = {
     "divset.basic_count_binomial",
     "divset.count_vs_bruteforce",
     "divset.enumerated_all_valid",
     "divset.matching_roundtrip",
     "divset.relative_nesting_partition",
-    "triangles.closure_degree_sum_region_rotation",
-    "triangles.consecutive_compositions_vanish",
-    "triangles.disjoint_pairs_commute",
-    "triangles.gamma_solves_composite",
-    "triangles.image_distinguished",
-    "algebra.presentation",
-    "algebra.multiplication_matches_composition",
-    "functor.differential_squares_to_zero",
     "serre.rotation_has_order_n_plus_1",
 }
 
@@ -147,121 +153,156 @@ def rotation_reversed(rotate):
     return mutated
 
 
-# name: (the fact it breaks, suite, owner and name of the function replaced,
-# mutation, failing checks per (n, e))
+# name: (the fact it breaks, the suites it touches, owner and name of the
+# function replaced, mutation, failing checks per (n, e))
 MUTANTS = {
     "rim_corner_off_by_one": (
         "a region's partial starts at the walk-entry corner of each rim chord",
-        "functor",
+        ("functor",),
         (functor, "_rim"),
         rim_corner_off_by_one,
         {(3, 1): {SPLITS}, (4, 2): {SPLITS}, (5, 2): {SPLITS}},
     ),
     "identity_flipped": (
         "the identity indices of a bypass are those left of its arc",
-        "functor",
+        ("functor", "triangles", "serre", "faithful"),
         (functor, "index_split"),
         identity_flipped,
-        {(3, 1): {CHAIN_MAPS, SPLIT_LAWS}, (4, 2): {CHAIN_MAPS, SPLIT_LAWS}, (5, 2): {CHAIN_MAPS, SPLIT_LAWS}},
+        {
+            (3, 1): {CHAIN_MAPS, SPLIT_LAWS, CLOSURE, GAMMA, DISTINGUISHED, DISJOINT, CALABI_YAU, TRANSFORM, TABLE},
+            (4, 2): {CHAIN_MAPS, SPLIT_LAWS, CLOSURE, GAMMA, DISTINGUISHED, DISJOINT, CALABI_YAU, TABLE},
+            (5, 2): {CHAIN_MAPS, SPLIT_LAWS, CLOSURE, GAMMA, DISTINGUISHED, DISJOINT, CALABI_YAU, TABLE},
+        },
     ),
     "entry_filed_under_another_region": (
         "each entry of d belongs to the partial of its own region",
-        "functor",
+        ("functor",),
         (functor, "negative_region_differential"),
         entry_filed_under_another_region,
         {(3, 1): set(), (4, 2): {COMMUTE}, (5, 2): {COMMUTE}},
     ),
     "curve_shift_plus_two": (
         "rounding shifts a curve leaving the bottom matching at p to p-2 on the top",
-        "homs",
+        ("homs", "algebra", "serre", "faithful"),
         (homs, "_curves"),
         curve_shift_plus_two,
         {
-            (3, 1): {GREEDY, SERRE, EXACTNESS},
-            (4, 2): {GREEDY, SERRE, STACK_ORDER, EXACTNESS},
-            (5, 2): {GREEDY, SERRE, STACK_ORDER, EXACTNESS},
+            (3, 1): {GREEDY, SERRE, EXACTNESS, TRANSFORM} | CURVE_COUNT_USERS,
+            (4, 2): {GREEDY, SERRE, STACK_ORDER, EXACTNESS} | CURVE_COUNT_USERS,
+            (5, 2): {GREEDY, SERRE, STACK_ORDER, EXACTNESS} | CURVE_COUNT_USERS,
         },
     ),
     "curves_not_halved": (
         "each closed curve is walked once in each direction, so curves are half the cycles",
-        "homs",
+        ("homs", "algebra", "serre", "faithful"),
         (homs, "_curves"),
         curves_not_halved,
         {
-            (3, 1): {IDENTITY, GREEDY},
-            (4, 2): {IDENTITY, GREEDY},
-            (5, 2): {IDENTITY, GREEDY},
+            (3, 1): {IDENTITY, GREEDY, TRANSFORM} | CURVE_COUNT_USERS,
+            (4, 2): {IDENTITY, GREEDY} | CURVE_COUNT_USERS,
+            (5, 2): {IDENTITY, GREEDY} | CURVE_COUNT_USERS,
         },
     ),
     "closure_keeps_direct_successors": (
         "a composition mask reads every stage reached by a chain of bypasses",
-        "homs",
+        ("homs",),
         (homs, "_transitive_closure"),
         closure_keeps_direct_successors,
         {(3, 1): set(), (4, 2): {STACK_ORDER, EXACTNESS}, (5, 2): {STACK_ORDER, EXACTNESS}},
     ),
     "last_move_dropped": (
         "the bypass targets of a rotated object are the rotated bypass targets",
-        "homs",
+        ("homs", "faithful"),
         (homs.Component, "moves"),
         last_move_dropped,
-        # only the first check is sound here; at (5,2) it is the only one to fail
-        {(3, 1): {EQUIVARIANT, EXACTNESS}, (4, 2): {EQUIVARIANT, STACK_ORDER, EXACTNESS}, (5, 2): {EQUIVARIANT}},
+        # of the homs checks only the first is sound here; at (5,2) it is
+        # the only check to fail
+        {
+            (3, 1): {EQUIVARIANT, EXACTNESS},
+            (4, 2): {EQUIVARIANT, STACK_ORDER, EXACTNESS, TABLE},
+            (5, 2): {EQUIVARIANT},
+        },
     ),
     "target_slot_off_by_one": (
         "a move's z is one past its target chord's walk slot",
-        "homs",
+        ("homs", "algebra", "functor", "triangles", "faithful"),
         (bypass, "find_moves"),
         target_slot_off_by_one,
-        # find_moves validates no move, so the shifted moves reach the suite;
+        # find_moves validates no move, so the shifted moves reach the suites;
         # at (3,1) every move's ov has one chord, so no z moves
-        {(3, 1): set(), (4, 2): {EQUIVARIANT, STACK_ORDER, EXACTNESS}, (5, 2): {EQUIVARIANT, STACK_ORDER, EXACTNESS}},
+        {
+            (3, 1): set(),
+            (4, 2): {EQUIVARIANT, STACK_ORDER, EXACTNESS, CHAIN_MAPS, REVERSE, TABLE}
+            | {CLOSURE, COMPOSITIONS, GAMMA, DISTINGUISHED, DISJOINT},
+            (5, 2): {EQUIVARIANT, STACK_ORDER, EXACTNESS, PRODUCT, CHAIN_MAPS, REVERSE, TABLE}
+            | {CLOSURE, COMPOSITIONS, GAMMA, DISTINGUISHED, DISJOINT},
+        },
     ),
     "tight_row_transposed": (
         "the tight row of b holds the c with Hom(P_b, P_c) != 0, not those with Hom(P_c, P_b) != 0",
-        "faithful",
+        ("algebra", "functor", "triangles", "serre", "faithful"),
         (homs.Component, "tight_row"),
         tight_row_transposed,
-        {(3, 1): FAITHFUL, (4, 2): FAITHFUL, (5, 2): FAITHFUL},
+        {
+            (3, 1): {PRESENTATION, PRODUCT, SQUARES, SPLITS, COMMUTE, CHAIN_MAPS}
+            | {CLOSURE, GAMMA, DISTINGUISHED, DISJOINT, RESOLUTION, CALABI_YAU, TRANSFORM}
+            | FAITHFUL,
+            (4, 2): {PRESENTATION, PRODUCT, SQUARES, SPLITS, COMMUTE, CHAIN_MAPS}
+            | {CLOSURE, GAMMA, DISTINGUISHED, DISJOINT, RESOLUTION, CALABI_YAU}
+            | FAITHFUL,
+            (5, 2): {PRESENTATION, PRODUCT, SQUARES, SPLITS, COMMUTE, CHAIN_MAPS}
+            | {CLOSURE, GAMMA, DISTINGUISHED, DISJOINT, RESOLUTION, CALABI_YAU}
+            | FAITHFUL,
+        },
     ),
     "rotation_reversed": (
         "the rotation σ moves every label s to s-1, so m'[p] = m[p+2] - 2",
-        "serre",
+        ("homs", "serre"),
         (homs.Component, "rotate"),
         rotation_reversed,
-        # the rotation functor's square check runs at n <= 3 only
         {
-            (3, 1): ROTATION | {"serre.transform_commutes_with_functor"},
-            (4, 2): ROTATION,
-            (5, 2): ROTATION,
+            (3, 1): {SERRE, TRANSFORM} | ROTATION,
+            (4, 2): {SERRE} | ROTATION,
+            (5, 2): {SERRE} | ROTATION,
         },
     ),
 }
-# the mutants under which the homs checks may not loop over representatives
-NOT_EQUIVARIANT = {"last_move_dropped", "target_slot_off_by_one"}
+# the mutants under which the homs checks need not fail as their loops over
+# every object do: two break the rotation equivariance, and
+# rotation_reversed replaces the rotation the reduced checks read, while
+# the loops read their own (oracle.serre_rotate)
+LOOPS_MAY_DIFFER = {"last_move_dropped", "target_slot_off_by_one", "rotation_reversed"}
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_mutant_fails_exactly_its_checks(name, monkeypatch):
-    fact, suite, (owner, attr), mutate, want = MUTANTS[name]
+    fact, touched, (owner, attr), mutate, want = MUTANTS[name]
     monkeypatch.setattr(owner, attr, mutate(getattr(owner, attr)))
     homs.component.cache_clear()
     homs.rounded_components.cache_clear()
     try:
         got, loops = {}, {}
         for n, e in want:
-            (report,) = suites.run_suite(suite, n, e)
-            got[n, e] = {c.check_id for c in report.checks if not c.ok}
-            if suite == "homs" and name not in NOT_EQUIVARIANT:
-                reduced = {c.check_id: c.counterexample for c in report.checks}
-                for check_id, loop in oracle.HOMS_LOOPS.items():
-                    loops[n, e, check_id] = (reduced[check_id], loop(n, e))
+            got[n, e] = set()
+            for suite in touched:
+                (report,) = suites.run_suite(suite, n, e)
+                got[n, e] |= {c.check_id for c in report.checks if not c.ok}
+                if suite == "homs" and name not in LOOPS_MAY_DIFFER:
+                    reduced = {c.check_id: c.counterexample for c in report.checks}
+                    for check_id, loop in oracle.HOMS_LOOPS.items():
+                        loops[n, e, check_id] = (reduced[check_id], loop(n, e))
     finally:
         homs.component.cache_clear()
         homs.rounded_components.cache_clear()
     assert got == want, fact
     for key, (reduced, unreduced) in loops.items():
         assert reduced == unreduced, key
+
+
+def test_every_touched_suite_fails_somewhere():
+    for name, (_, touched, *_, want) in MUTANTS.items():
+        failing = {c.split(".")[0] for ids in want.values() for c in ids}
+        assert failing == set(touched), name
 
 
 def test_every_check_is_pinned_or_uncovered():

@@ -2,9 +2,11 @@
 
 A public def or class in src/diskcontact must be referenced from
 somewhere in src/ (a name, an attribute or an import other than its own
-definition) or exported from diskcontact/__init__.py, and so must a
-private module-level def.  Code that only tests call lives next to those
-tests.
+definition) or exported by the package (`diskcontact.__all__`, read from
+its export table), and so must a private module-level def.  Dunder defs
+(the package's PEP 562 `__getattr__` and `__dir__`) are called by the
+interpreter and are not counted.  Code that only tests call lives next
+to those tests.
 """
 
 import ast
@@ -19,21 +21,22 @@ def _unreferenced(kinds, private: bool) -> list[str]:
     """`module:name` of each module-level def of the given kinds, public or
     private, that src/ neither references nor exports."""
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
-    used, exported = set(), set()
-    for name, tree in trees.items():
+    used, exported = set(), set(diskcontact.__all__)
+    for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
-                (exported if name == "__init__.py" else used).update(a.name for a in node.names)
+                used.update(a.name for a in node.names)
     return [
         f"{name}:{node.name}"
         for name, tree in trees.items()
         for node in tree.body
         if isinstance(node, kinds)
         and node.name.startswith("_") == private
+        and not (node.name.startswith("__") and node.name.endswith("__"))
         and node.name not in used | exported
     ]
 
