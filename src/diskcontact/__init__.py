@@ -35,8 +35,8 @@ _NAMES = {
         "verify_presentation",
     ),
     "kom": (
-        "ChainMap", "Complex", "Homotopy", "ProjSummand", "cone", "compose", "equivalent",
-        "find_homotopy", "hom_dim", "hom_total", "is_homotopy_equivalence",
+        "ChainMap", "Complex", "ProjSummand", "cone", "compose", "equivalent",
+        "hom_dim", "hom_total", "is_homotopy_equivalence",
         "serre_resolution", "serre_transform", "shift", "simplify", "verify_complex",
     ),
     "functor": (

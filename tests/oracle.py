@@ -2,9 +2,10 @@
 
 `HomComplex(src, dst)` builds the graded complex of module maps with
 D(f) = d_dst.f + f.d_src on the single-entry basis that `kom.map_basis`
-lists, and reads dimensions off GF(2) ranks of D.  The library answers
-every hom dimension and nullhomotopy question from per-source column
-retracts instead; the tests compare the two.
+lists, and reads dimensions off GF(2) ranks of D; `find_homotopy` solves
+D for a homotopy between two maps.  The library answers every hom
+dimension and nullhomotopy question from per-source column retracts
+instead; the tests compare the two.
 
 `find_moves` builds every bypass move from its chords through
 `bypass.move_from_chords`, validates each and drops repeats; the library
@@ -36,12 +37,14 @@ loops over one representative per rotation orbit instead.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from diskcontact import bypass, functor, gf2, homs, kom
 from diskcontact.bypass import BypassMove, attach
 from diskcontact.divset import STAR, DividingSet, NestVector, basic_of, chord_key, ds_to_json, geometry
 from diskcontact.divset import enumerate_objects, nesting_sets
+from diskcontact.errors import ShapeMismatch
 from diskcontact.suites import _not_exact
 
 
@@ -132,14 +135,36 @@ def hom_total(src: kom.Complex, dst: kom.Complex) -> int:
     return sum(hom_by_degree(src, dst).values())
 
 
-def is_nullhomotopic(f: kom.ChainMap) -> bool:
-    """Is f = D(h) for some h of degree f.k - 1?"""
+@dataclass(frozen=True)
+class Homotopy:
+    src: kom.Complex
+    dst: kom.Complex
+    k: int  # degree as a map; a homotopy for degree-k maps has degree k-1
+    entries: frozenset
+
+
+def find_homotopy(f: kom.ChainMap, g: kom.ChainMap) -> Optional[Homotopy]:
+    """h with f + g = d.h + h.d, or None if there is none: one GF(2) solve
+    of D on the degree f.k - 1 map basis.  Raises ShapeMismatch unless f
+    and g have one shape and degree, and ComponentMismatch unless their
+    summands lie in one component."""
+    if (f.src, f.dst, f.k) != (g.src, g.dst, g.k):
+        raise ShapeMismatch("homotopy comparison needs equal shapes and degrees")
     hc = HomComplex(f.src, f.dst)
     pos = hc.position(f.k)
-    if any(p not in pos for p in f.entries):
-        return False
-    target = sum(1 << pos[p] for p in f.entries)
-    return gf2.solve(hc.columns(f.k - 1), target) is not None
+    diff = f.entries ^ g.entries
+    if any(p not in pos for p in diff):
+        return None  # the difference is not a map-space vector of degree f.k
+    sol = gf2.solve(hc.columns(f.k - 1), sum(1 << pos[p] for p in diff))
+    if sol is None:
+        return None
+    basis = hc.basis(f.k - 1)
+    return Homotopy(f.src, f.dst, f.k - 1, frozenset(basis[i] for i in sol))
+
+
+def is_nullhomotopic(f: kom.ChainMap) -> bool:
+    """Is f = D(h) for some h of degree f.k - 1?"""
+    return find_homotopy(f, kom.zero_map(f.src, f.dst, f.k)) is not None
 
 
 def find_moves(ds: DividingSet) -> list[BypassMove]:

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from diskcontact import bypass, functor, gf2, homs, kom
+from diskcontact import bypass, functor, gf2, homs, kom, suites
 from diskcontact.divset import (
     STAR,
     DividingSet,
@@ -23,7 +23,6 @@ from diskcontact.kom import (
     compose,
     cone,
     equivalent,
-    find_homotopy,
     hom_by_degree,
     hom_dim,
     hom_total,
@@ -41,7 +40,7 @@ from diskcontact.kom import (
 )
 
 from conftest import pairs_up_to
-from oracle import HomComplex, nullspace, rank
+from oracle import HomComplex, Homotopy, find_homotopy, nullspace, rank
 
 
 def two_term():
@@ -452,6 +451,8 @@ def test_hom_complex_scans_summand_pairs_once(ex_g3, ex_g4, monkeypatch):
     scans.clear()
 
     retracts = kom.column_retracts(a)
+    assert kom.is_nullhomotopic_from(retracts, zero_map(a, b, f.k))
+    assert reduced == []
     comp = homs.component(4, 2)
     rows = [comp.tight_row(basic_index(s.gamma)) for s in a.summands]
     columns = {basic_index(s.gamma) for s in b.summands + a.summands}
@@ -542,31 +543,23 @@ def test_find_homotopy_rejects_components():
         find_homotopy(zero_map(mixed, a), zero_map(mixed, a))
     with pytest.raises(ComponentMismatch):
         is_nullhomotopic(zero_map(a, mixed))
-
-
-def _solved_homotopy(f, g):
-    """find_homotopy's GF(2) solve without its shortcut for equal maps."""
-    hc = HomComplex(f.src, f.dst)
-    pos = hc.position(f.k)
-    target = 0
-    for p in f.entries ^ g.entries:
-        target |= 1 << pos[p]
-    sol = gf2.solve(hc.columns(f.k - 1), target)
-    b_h = hc.basis(f.k - 1)
-    return kom.Homotopy(f.src, f.dst, f.k - 1, frozenset(b_h[i] for i in sol))
+    with pytest.raises(ComponentMismatch):
+        is_nullhomotopic(zero_map(a, b))
 
 
 @pytest.mark.parametrize("n,e", pairs_up_to(4))
 def test_find_homotopy_of_equal_maps_is_what_the_solve_returns(n, e):
+    # the solve finds the zero homotopy, and the retracts, which answer a
+    # map with no entries at once, agree
     for g in enumerate_objects(n, e):
         F = functor.build_F(g)
+        retracts = kom.column_retracts(F)
         maps = [functor.chain_map_F(mv) for mv in bypass.enumerate_bypasses(g)]
         maps += [identity_map(F), zero_map(F, F, 1), ChainMap(F, F, 1, F.d)]
         for f in maps:
             g2 = ChainMap(f.src, f.dst, f.k, frozenset(f.entries))
-            h = find_homotopy(f, g2)
-            assert h == _solved_homotopy(f, g2)
-            assert h == kom.Homotopy(f.src, f.dst, f.k - 1, frozenset())
+            assert find_homotopy(f, g2) == Homotopy(f.src, f.dst, f.k - 1, frozenset())
+            assert kom.is_nullhomotopic_from(retracts, add_maps(f, g2))
 
 
 def test_equivalent_is_false_across_components():
@@ -687,6 +680,39 @@ def test_find_homotopy_returns_a_homotopy(n, e):
             solved += bool(h.entries)
     if (n, e) == (4, 2):
         assert solved
+
+
+@pytest.mark.parametrize("n,e", pairs_up_to(5))
+def test_retracts_decide_squares_as_the_solve_does(n, e):
+    # each square's sides, and each left side against zero so that both
+    # verdicts occur, on one column retracts per source as the suite reads
+    verdicts, unequal = set(), 0
+    for g in enumerate_objects(n, e):
+        retracts = kom.column_retracts(functor.build_F(g))
+        for lhs, rhs in _square_pairs(g):
+            unequal += lhs.entries != rhs.entries
+            for other in (rhs, zero_map(lhs.src, lhs.dst, lhs.k)):
+                got = kom.is_nullhomotopic_from(retracts, add_maps(lhs, other))
+                assert got == (find_homotopy(lhs, other) is not None)
+                verdicts.add(got)
+    if (n, e) == (4, 2):
+        assert verdicts == {True, False} and unequal == 8
+    if (n, e) == (5, 2):
+        assert unequal == 35
+
+
+def test_square_check_builds_no_map_basis(monkeypatch):
+    # disjoint_pairs_commute reads column retracts alone; image_distinguished
+    # still solves for an isomorphism through equivalent
+    error = RuntimeError("map basis built")
+
+    def refuse(*args):
+        raise error
+
+    monkeypatch.setattr(kom, "_differential", refuse)
+    checks = {c.check_id: c for c in suites.suite_triangles(5, 2).checks}
+    assert checks["triangles.disjoint_pairs_commute"].ok
+    assert checks["triangles.image_distinguished"].counterexample == {"error": repr(error)}
 
 
 def test_verify_chain_map_rejects_out_of_range_entries():

@@ -19,7 +19,7 @@ import dataclasses
 import pytest
 
 import oracle
-from diskcontact import bypass, functor, homs, suites
+from diskcontact import bypass, functor, homs, kom, suites
 from diskcontact.divset import basic_sets, geometry
 
 IDENTITY = "homs.identity_one_curve"
@@ -153,6 +153,36 @@ def rotation_reversed(rotate):
     return mutated
 
 
+def null_only_when_zero(is_nullhomotopic_from):
+    def mutated(retracts, f):
+        return not f.entries and is_nullhomotopic_from(retracts, f)
+
+    return mutated
+
+
+def gamma_entry_dropped(gamma_chain_map):
+    def mutated(tri):
+        f = gamma_chain_map(tri)
+        return f if not f.entries else dataclasses.replace(f, entries=f.entries - {min(f.entries)})
+
+    return mutated
+
+
+def simplify_without_zigzag(simplify):
+    def mutated(c):
+        summands, d = list(c.summands), set(c.d)
+        while True:
+            pivot = next(((i, j) for i, j in sorted(d) if summands[i].gamma == summands[j].gamma), None)
+            if pivot is None:
+                return kom.Complex(tuple(summands), frozenset(d))
+            keep = [t for t in range(len(summands)) if t not in pivot]
+            renum = {t: s for s, t in enumerate(keep)}
+            summands = [summands[t] for t in keep]
+            d = {(renum[a], renum[b]) for a, b in d if a in renum and b in renum}
+
+    return mutated
+
+
 # name: (the fact it breaks, the suites it touches, owner and name of the
 # function replaced, mutation, failing checks per (n, e))
 MUTANTS = {
@@ -265,6 +295,32 @@ MUTANTS = {
             (4, 2): {SERRE} | ROTATION,
             (5, 2): {SERRE} | ROTATION,
         },
+    ),
+    "null_only_when_zero": (
+        "a cocycle is nullhomotopic iff its transfer lies in the image of d' on the E1 page",
+        ("triangles",),
+        (kom, "is_nullhomotopic_from"),
+        null_only_when_zero,
+        # (3,1) has no square with unequal sides
+        {
+            (3, 1): {DISTINGUISHED},
+            (4, 2): {DISTINGUISHED, DISJOINT},
+            (5, 2): {DISTINGUISHED, DISJOINT},
+        },
+    ),
+    "gamma_entry_dropped": (
+        "d.gamma + gamma.d is F(b1) followed by F(b2), the triangle's first two maps",
+        ("triangles",),
+        (functor, "gamma_chain_map"),
+        gamma_entry_dropped,
+        {(3, 1): {GAMMA}, (4, 2): {GAMMA}, (5, 2): {GAMMA}},
+    ),
+    "simplify_without_zigzag": (
+        "cancelling an identity entry adds the zig-zag through it to the differential",
+        ("triangles",),
+        (kom, "simplify"),
+        simplify_without_zigzag,
+        {(3, 1): {DISTINGUISHED}, (4, 2): {DISTINGUISHED}, (5, 2): {DISTINGUISHED}},
     ),
 }
 # the mutants under which the homs checks need not fail as their loops over
