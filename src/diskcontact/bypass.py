@@ -53,9 +53,7 @@ from .divset import (
     chord_key,
     chord_slots,
     Matching,
-    far_side_labels,
     geometry,
-    side_containing,
 )
 from .errors import ComponentMismatch, InvalidMove, IsBasic
 from .homs import Component, component
@@ -282,38 +280,18 @@ def zero_region(move: BypassMove) -> int:
     1 beyond the entry chord; 2/6 left/right of the arc on the uv side of
     the exit chord; 3/5 left/right on the negative-region side; 4 beyond
     the target chord.
+
+    The arc never touches the boundary, so each region meets it in exactly
+    one of the six intervals cut by the chords' six distinct endpoints, in
+    the same clockwise order; region 1's runs from the entry chord's first
+    endpoint to its second.  Label 0's positive arc, from point 0 to point
+    1, lies in the interval starting at point 0 when 0 is an endpoint, and
+    otherwise in the one that wraps around.
     """
-    ds = move.source
-    if 0 in ds.labels(move.uv):
-        return 2 if 0 in move.left_labels else 6
-    c1, c2, c3 = (chord_key(c) for c in move.chords)
-    anchor = ds.labels(move.uv)[0]
-    if 0 in far_side_labels(ds, c1, anchor):
-        return 1
-    if 0 in side_containing(ds.n, c3, ds.label_at(move.ov, 0)):
-        return 4
-    if 0 in side_containing(ds.n, c2, anchor):
-        # on the uv side of the exit chord, hanging beyond another chord of
-        # uv; left exactly when that chord joins two left labels
-        left_internal = move.left_positions[:-1]
-        for j, ch in enumerate(ds.chords(move.uv)):
-            cj = chord_key(ch)
-            if cj in (c1, c2):
-                continue
-            if 0 in far_side_labels(ds, cj, anchor):
-                return 2 if j in left_internal else 6
-        raise AssertionError("label 0 not found beyond any chord of uv")
-    geo = geometry(ds)
-    region = geo.neg_regions[geo.neg_of_chord[c2]]
-    for c in region.between(c2, c3):
-        owner = geo.comp_of_chord[c]
-        if 0 in side_containing(ds.n, c, ds.label_at(owner, 0)):
-            return 3
-    for c in region.between(c3, c2):
-        owner = geo.comp_of_chord[c]
-        if 0 in side_containing(ds.n, c, ds.label_at(owner, 0)):
-            return 5
-    raise AssertionError("label 0 not located in any region")
+    chords = move.chords
+    ends = sorted(p for c in chords for p in c)
+    zero = 0 if ends[0] == 0 else 5
+    return (zero - ends.index(chords[0][0])) % 6 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -341,29 +319,30 @@ def _move_code(move: BypassMove) -> int:
 
 def _arc(comp: Component, m: int):
     """What a pair of arcs needs of move m, computed once per pair: its
-    chord triple, the two faces it passes through with the walk slot and
-    walk direction (min->max) of the chords it crosses there, the pieces
-    its surgery cuts its three chords into, and its target's id."""
+    chord triple, its crossings in the two faces it passes through (keyed
+    by face), the pieces its surgery cuts its three chords into, and its
+    target's id.
+
+    A crossing is (the point where the face's walk enters the chord,
+    walked min->max, chord key).  A face's walk meets its chords in the
+    clockwise order of those entry points, so they order the crossings
+    around the face.  uv's walk enters a chord at its first endpoint; the
+    negative region, uv's and ov's neighbour across the exit and target
+    chords, walks each of them backwards.
+    """
     move = comp.move_list[m]
-    ds = move.source
     entry, exit, target = move.chords
     c1, c2, c3 = chord_key(entry), chord_key(exit), chord_key(target)
     wall, p, q = _surgery(entry, exit, target)
     # left corner endpoint of each cut chord, and the new chords its left
     # and right pieces join
     pieces = {c1: (entry[1], wall, q), c2: (exit[0], wall, p), c3: (target[1], q, p)}
-    i1 = (move.x - 1) % (ds.l(move.uv) + 1)
-    pos_face = ((i1, entry[0] < entry[1], c1), (move.y, exit[0] < exit[1], c2))
-    return (c1, c2, c3), move.uv, geometry(ds).neg_of_chord[c2], pos_face, pieces, comp.target(m)
-
-
-def _neg_face(ds: DividingSet, region: int, cs) -> tuple:
-    """(walk slot, walked min->max, chord) of the chords cs around a
-    negative region."""
-    size = 2 * ds.n + 2
-    walk = geometry(ds).neg_regions[region].walk
-    slots = {c: (i, (2 * t + 2) % size == c[0]) for i, (t, c) in enumerate(walk)}
-    return tuple(slots[c] + (c,) for c in cs)
+    neg = geometry(move.source).neg_of_chord[c2]
+    faces = {
+        ("pos", move.uv): ((entry[0], entry[0] < entry[1], c1), (exit[0], exit[0] < exit[1], c2)),
+        ("neg", neg): ((exit[1], exit[1] < exit[0], c2), (target[1], target[1] < target[0], c3)),
+    }
+    return (c1, c2, c3), faces, pieces, comp.target(m)
 
 
 def _interleaved(face_a, face_b, order: dict) -> bool:
@@ -422,13 +401,9 @@ def commuting_squares(a: BypassMove, b: BypassMove) -> list[Square]:
         return []
     ds = a.source
     comp = component(ds.n, ds.e)
-    triple_a, uv_a, neg_a, pos_a, pieces_a, target_a = _arc(comp, comp.move_id(a))
-    triple_b, uv_b, neg_b, pos_b, pieces_b, target_b = _arc(comp, comp.move_id(b))
-    faces = []
-    if uv_a == uv_b:
-        faces.append((pos_a, pos_b))
-    if neg_a == neg_b:
-        faces.append((_neg_face(ds, neg_a, triple_a[1:]), _neg_face(ds, neg_b, triple_b[1:])))
+    triple_a, faces_a, pieces_a, target_a = _arc(comp, comp.move_id(a))
+    triple_b, faces_b, pieces_b, target_b = _arc(comp, comp.move_id(b))
+    faces = [(fa, faces_b[face]) for face, fa in faces_a.items() if face in faces_b]
     shared = sorted(set(triple_a) & set(triple_b))
     size = 2 * ds.n + 2
     squares = []

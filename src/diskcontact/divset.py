@@ -442,17 +442,6 @@ class NegRegion:
     def chords(self) -> tuple[tuple[int, int], ...]:
         return tuple(c for _, c in self.walk)
 
-    def between(self, c_in: tuple[int, int], c_out: tuple[int, int]) -> tuple[tuple[int, int], ...]:
-        """Chords strictly between c_in and c_out in walk order."""
-        cs = self.chords
-        k, j = len(cs), cs.index(c_out)
-        p = (cs.index(c_in) + 1) % k
-        out = []
-        while p != j:
-            out.append(cs[p])
-            p = (p + 1) % k
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class Geometry:
@@ -501,31 +490,6 @@ def _faces(ds: DividingSet) -> Geometry:
             neg_of_chord[c] = region.index
         regions.append(region)
     return Geometry(ds, comp_of_chord, tuple(regions), neg_of_chord)
-
-
-def chord_sides(n: int, c: tuple[int, int]) -> tuple[frozenset[int], frozenset[int]]:
-    """Partition of the labels by the two sides of a chord.
-
-    A positive arc (2s, 2s+1) lies on the side swept by the clockwise walk
-    from c[0] to c[1] exactly when its start point 2s is reached before
-    c[1]; the two sides partition all n+1 labels.
-    """
-    size = 2 * n + 2
-    a, b = c
-    d = (b - a) % size
-    side1 = frozenset(s for s in range(n + 1) if (2 * s - a) % size < d)
-    return side1, frozenset(range(n + 1)) - side1
-
-
-def side_containing(n: int, c: tuple[int, int], label: int) -> frozenset[int]:
-    a, b = chord_sides(n, c)
-    return a if label in a else b
-
-
-def far_side_labels(ds: DividingSet, c: tuple[int, int], near_label: int) -> frozenset[int]:
-    """Labels on the opposite side of chord c from the one holding near_label."""
-    a, b = chord_sides(ds.n, c)
-    return b if near_label in a else a
 
 
 # ---------------------------------------------------------------------------

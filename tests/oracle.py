@@ -11,6 +11,11 @@ instead; the tests compare the two.
 `bypass.move_from_chords`, validates each and drops repeats; the library
 builds them straight from the chords' walk slots and validates none.
 
+`zero_region` finds the region of label 0 by cases, from the label sets
+on the two sides of each chord of the figure and a walk around the
+negative region between the exit and target chords.  The library reads
+it from the clockwise order of the three chords' endpoints.
+
 `from_partition` rebuilds a nesting tree from its label partition by
 scanning the gaps of every candidate parent, and `surgery` and
 `serre_rotate` build an attach target and a rotation from the label
@@ -254,6 +259,77 @@ def serre_rotate(ds: DividingSet) -> DividingSet:
     n1 = ds.n + 1
     parts = [{(s - 1) % n1 for s in ls} for _, ls in ds.components]
     return from_partition(ds.n, ds.e, parts)
+
+
+def chord_sides(n: int, c: tuple[int, int]) -> tuple[frozenset[int], frozenset[int]]:
+    """Partition of the labels by the two sides of a chord.
+
+    A positive arc (2s, 2s+1) lies on the side swept by the clockwise walk
+    from c[0] to c[1] exactly when its start point 2s is reached before
+    c[1]; the two sides partition all n+1 labels.
+    """
+    size = 2 * n + 2
+    a, b = c
+    d = (b - a) % size
+    side1 = frozenset(s for s in range(n + 1) if (2 * s - a) % size < d)
+    return side1, frozenset(range(n + 1)) - side1
+
+
+def side_containing(n: int, c: tuple[int, int], label: int) -> frozenset[int]:
+    a, b = chord_sides(n, c)
+    return a if label in a else b
+
+
+def far_side_labels(ds: DividingSet, c: tuple[int, int], near_label: int) -> frozenset[int]:
+    """Labels on the opposite side of chord c from the one holding near_label."""
+    a, b = chord_sides(ds.n, c)
+    return b if near_label in a else a
+
+
+def chords_between(cs, c_in, c_out) -> list:
+    """The chords strictly between c_in and c_out in the cyclic order cs."""
+    k, j = len(cs), cs.index(c_out)
+    p = (cs.index(c_in) + 1) % k
+    out = []
+    while p != j:
+        out.append(cs[p])
+        p = (p + 1) % k
+    return out
+
+
+def zero_region(move: BypassMove) -> int:
+    """bypass.zero_region by cases: which side of each chord of the figure
+    holds label 0, and, on the negative-region side of the exit chord,
+    which chord of the region it hangs beyond, walking from the exit
+    chord to the target chord (region 3) or back (region 5)."""
+    ds = move.source
+    if 0 in ds.labels(move.uv):
+        return 2 if 0 in move.left_labels else 6
+    c1, c2, c3 = (chord_key(c) for c in move.chords)
+    anchor = ds.labels(move.uv)[0]
+    if 0 in far_side_labels(ds, c1, anchor):
+        return 1
+    if 0 in side_containing(ds.n, c3, ds.label_at(move.ov, 0)):
+        return 4
+    if 0 in side_containing(ds.n, c2, anchor):
+        # on the uv side of the exit chord, hanging beyond another chord of
+        # uv; left exactly when that chord joins two left labels
+        left_internal = move.left_positions[:-1]
+        for j, ch in enumerate(ds.chords(move.uv)):
+            cj = chord_key(ch)
+            if cj in (c1, c2):
+                continue
+            if 0 in far_side_labels(ds, cj, anchor):
+                return 2 if j in left_internal else 6
+        raise AssertionError("label 0 not found beyond any chord of uv")
+    geo = geometry(ds)
+    cs = geo.neg_regions[geo.neg_of_chord[c2]].chords
+    for region, (c_in, c_out) in ((3, (c2, c3)), (5, (c3, c2))):
+        for c in chords_between(cs, c_in, c_out):
+            owner = geo.comp_of_chord[c]
+            if 0 in side_containing(ds.n, c, ds.label_at(owner, 0)):
+                return region
+    raise AssertionError("label 0 not located in any region")
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,13 @@ def test_zero_region_examples(ex_g4):
             assert zero_region(b3) == 2
 
 
+@pytest.mark.parametrize("n,e", pairs_up_to(6))
+def test_zero_region_matches_the_chord_side_reference(n, e):
+    for g in enumerate_objects(n, e):
+        for mv in enumerate_bypasses(g):
+            assert zero_region(mv) == oracle.zero_region(mv), mv
+
+
 @pytest.mark.parametrize("n,e", pairs_up_to(5))
 def test_obar_decreases_m(n, e):
     for g in enumerate_objects(n, e):

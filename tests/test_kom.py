@@ -41,6 +41,7 @@ from diskcontact.kom import (
 
 from conftest import pairs_up_to
 from oracle import HomComplex, Homotopy, find_homotopy, nullspace, rank
+from test_mutants import simplify_without_zigzag
 
 
 def two_term():
@@ -127,6 +128,33 @@ def test_simplify_preserves_homotopy_type(ex_g4):
     s = simplify(c)
     assert verify_complex(s)
     assert equivalent(c, s)
+
+
+def _triangle_cones(n, e):
+    """The cone of F(b1) of every bypass triangle of the (n, e) component."""
+    return [
+        cone(functor.lift_morphism(bypass.triangle(g, mv).b1, 0))
+        for g in enumerate_objects(n, e)
+        for mv in bypass.enumerate_bypasses(g)
+    ]
+
+
+def _simplify_keeps_homs(c, simplify, projectives) -> bool:
+    """Is simplify(c) a complex with the homs of c out of every projective?"""
+    s = simplify(c)
+    return verify_complex(s) and all(hom_by_degree(p, s) == hom_by_degree(p, c) for p in projectives)
+
+
+@pytest.mark.parametrize("n,e,count,broken", [(3, 1, 12, 1), (4, 2, 75, 8), (5, 2, 270, 47)])
+def test_simplify_keeps_the_homs_out_of_every_projective(n, e, count, broken):
+    # simplify is read directly here, not only through kom.equivalent; the
+    # mutant that drops the zig-zag correction breaks some cone at each size
+    cones = _triangle_cones(n, e)
+    assert len(cones) == count
+    projectives = [projective(b) for b in basic_sets(n, e)]
+    assert all(_simplify_keeps_homs(c, simplify, projectives) for c in cones)
+    mutant = simplify_without_zigzag(simplify)
+    assert sum(not _simplify_keeps_homs(c, mutant, projectives) for c in cones) == broken
 
 
 def euler_vector(c: Complex) -> dict:

@@ -183,6 +183,20 @@ def simplify_without_zigzag(simplify):
     return mutated
 
 
+def zero_region_counterclockwise(zero_region):
+    def mutated(move):
+        return (1 - zero_region(move)) % 6 + 1
+
+    return mutated
+
+
+def deg_formula_off_in_region_5(deg_formula):
+    def mutated(move):
+        return deg_formula(move) + (bypass.zero_region(move) == 5)
+
+    return mutated
+
+
 # name: (the fact it breaks, the suites it touches, owner and name of the
 # function replaced, mutation, failing checks per (n, e))
 MUTANTS = {
@@ -321,6 +335,20 @@ MUTANTS = {
         (kom, "simplify"),
         simplify_without_zigzag,
         {(3, 1): {DISTINGUISHED}, (4, 2): {DISTINGUISHED}, (5, 2): {DISTINGUISHED}},
+    ),
+    "zero_region_counterclockwise": (
+        "the regions of the arc figure are numbered clockwise, so a triangle's next move has label 0 two regions on",
+        ("triangles",),
+        (bypass, "zero_region"),
+        zero_region_counterclockwise,
+        {(3, 1): {CLOSURE}, (4, 2): {CLOSURE}, (5, 2): {CLOSURE}},
+    ),
+    "deg_formula_off_in_region_5": (
+        "deg_formula gives the degree of every bypass map, label 0 in region 5 included",
+        ("functor",),
+        (functor, "deg_formula"),
+        deg_formula_off_in_region_5,
+        {(3, 1): {CHAIN_MAPS}, (4, 2): {CHAIN_MAPS}, (5, 2): {CHAIN_MAPS}},
     ),
 }
 # the mutants under which the homs checks need not fail as their loops over
