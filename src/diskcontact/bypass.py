@@ -179,10 +179,49 @@ def find_moves(ds: DividingSet) -> list[BypassMove]:
 def surgery(move: BypassMove, m: Matching) -> Matching:
     """The source's matching m with the entry, exit and target chords
     re-paired as (wall, p, q); callers read attach."""
+    return _repaired(m, *move.chords)
+
+
+def _repaired(m: Matching, entry, exit, target) -> Matching:
     out = list(m)
-    for a, b in _surgery(*move.chords):
+    for a, b in _surgery(entry, exit, target):
         out[a], out[b] = b, a
     return tuple(out)
+
+
+def target_matchings(m: Matching) -> list[Matching]:
+    """The target matching of every nontrivial bypass on the crossingless
+    matching m: as a multiset, the surgery targets of find_moves on the
+    dividing set of m, read off m's faces without decoding it.
+
+    A negative face is a cycle of even points q -> m[q]+1, and the
+    positive face of an odd point p the cycle p -> m[p]+1; a chord is
+    named by its odd endpoint p and oriented (p, m[p]), as
+    `BypassMove.chords` orients it.  As in find_moves, a move takes an
+    ordered pair of distinct chords (exit b, target c) of one negative
+    face and any other chord a of b's positive face as the entry.
+    """
+    size = len(m)
+    out = []
+    seen = [False] * size
+    for q in range(0, size, 2):
+        face = []
+        while not seen[q]:
+            seen[q] = True
+            face.append(m[q])
+            q = (m[q] + 1) % size
+        for b in face:
+            entries = []
+            a = m[b] + 1
+            while a != b:
+                entries.append((a, m[a]))
+                a = m[a] + 1
+            exit = (b, m[b])
+            for c in face:
+                if c != b:
+                    target = (c, m[c])
+                    out.extend(_repaired(m, entry, exit, target) for entry in entries)
+    return out
 
 
 def _move_id(ds: DividingSet, move: BypassMove) -> tuple[Component, int]:

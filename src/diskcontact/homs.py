@@ -16,6 +16,13 @@ The direction of the shift is calibrated: this is the unique convention
 basic pairs agree with the greedy tightness criterion, and homs into the
 rotated object never vanish.
 
+Reachability by bypasses, through stages with a nonzero hom into or
+out of an anchor, is read three ways: the exhaustive composition masks
+from per-anchor transitive closures, the composition point calls and
+the faithful table's trees from `bypass_search` over the successors of
+interned stages, and the point chain `bypass_chain` from a level search
+on matchings that interns only the chain it returns.
+
 Library entry points here trust their DividingSet arguments: they do not
 run divset.validate, and an invalid dividing set gives an undefined
 answer or error.  The CLI validates at its boundary (cli._load_ds,
@@ -130,29 +137,92 @@ def composition_nonzero_right(g: DividingSet, g2: DividingSet, g3: DividingSet) 
 
 
 def bypass_chain(g: DividingSet, g2: DividingSet) -> Optional[tuple[BypassMove, ...]]:
-    """Shortest bypass chain from g to g2 through stages with hom into g2.
+    """Shortest bypass chain from g to g2 through stages with hom into g2,
+    or None when there is none.
 
-    The search keeps the first discoverer of each stage and scans
-    `Component.successors` in order, so the chain is the first shortest
-    one in successor order.  It is also the path to g2 in the tree that
-    bypass_search grows from g, with no stop, inside
-    T(g) = {X : Hom(g, X) != 0} (checked on every nonzero pair with
-    n <= 8); the faithful table reads its maps off that tree.
+    g itself is not filtered, only the stages after it: a chain can start
+    from a g with Hom(g, g2) = 0 (three pairs at (2,1) have one).
+
+    Of the shortest chains it is the least in the lexicographic order of
+    their moves' indices in `Component.moves`, which is the chain that a
+    breadth-first search over `Component.successors` keeping the first
+    discoverer of each stage finds.  The levels on matchings
+    (`_chain_levels`) give the stages on some shortest chain, and the
+    walk takes from each the first move onto one a level further; only
+    those moves' targets are interned.  Every kept predecessor one level
+    up of a stage on a shortest chain is on one too, so such a search
+    discovers each of those stages first from another, in the order of
+    their least index paths, and reaches g2 along the least one.
+
+    It is also the path to g2 in the tree that bypass_search grows from
+    g, with no stop, inside T(g) = {X : Hom(g, X) != 0} (checked on
+    every nonzero pair with n <= 8); the faithful table reads its maps
+    off that tree.
     """
     _check_same_component(g, g2)
     if g == g2:
         return ()
+    from .bypass import surgery
+
     comp = component(g.n, g.e)
-    start, target = comp.id(g), comp.id(g2)
-    prev = bypass_search(comp, start, target, True, stop=target)
-    if target not in prev:
+    cur = comp.id(g)
+    levels = _chain_levels(comp.matchings[cur], comp.matchings[comp.id(g2)])
+    if levels is None:
         return None
     chain = []
-    node = target
-    while node != start:
-        node, move = prev[node]
+    for on_chain in levels[1:]:
+        m = comp.matchings[cur]
+        move = next(mv for mv in comp.moves(cur) if surgery(mv, m) in on_chain)
         chain.append(move)
-    return tuple(reversed(chain))
+        cur = comp.target(comp.move_id(move))
+    return tuple(chain)
+
+
+def _chain_levels(start: Matching, goal: Matching) -> Optional[list[set[Matching]]]:
+    """The stages on some shortest bypass chain from start to goal whose
+    stages after start have hom into goal, level by level from {start}
+    to {goal}, or None when there is no such chain.
+
+    A breadth-first search over `bypass.target_matchings` expands whole
+    levels and records every kept predecessor of each stage one level
+    up, and the levels are read back from goal along those records.  It
+    stops at the first level with a stage one bypass from goal, and
+    lists only the targets of such stages there: a bypass re-pairs three
+    chords, so its target differs from its source at exactly six points.
+    It interns nothing.
+    """
+    from .bypass import target_matchings
+
+    seen = {start}
+    frontier: dict[Matching, list[Matching]] = {start: []}
+    preds = []
+    while True:
+        last = {
+            x
+            for x in frontier
+            if sum(p != q for p, q in zip(x, goal)) == 6 and goal in target_matchings(x)
+        }
+        if last:
+            break
+        nxt: dict[Matching, list[Matching]] = {}
+        for x in frontier:
+            for t in target_matchings(x):
+                back = nxt.get(t)
+                if back is not None:
+                    back.append(x)
+                elif t not in seen:
+                    seen.add(t)
+                    if _curves(t, goal) == 1:
+                        nxt[t] = [x]
+        if not nxt:
+            return None
+        preds.append(nxt)
+        frontier = nxt
+    levels = [{goal}, last]
+    for level in reversed(preds):
+        levels.append({p for x in levels[-1] for p in level[x]})
+    levels.reverse()
+    return levels
 
 
 @lru_cache(maxsize=8)
@@ -204,15 +274,17 @@ class Component:
     is built for representative anchors only; `_closure_at` reads any
     anchor's mask by relabeling, and stores nothing.
 
-    Reachability has two mechanisms.  The composition masks
+    Reachability has three mechanisms.  The composition masks
     (`middles`, `middles_right`, `sources`, `targets`) read one
     transitive closure of the bypass graph induced on an anchor's kept
     stages, forward or reversed, built once per representative anchor
-    from the whole hom table.  Every chain comes from `bypass_search`,
-    which keeps nothing: the point calls (`composition_nonzero`,
-    `composition_nonzero_right`, `bypass_chain`) run it from one start
-    and stop at their target, and the faithful table runs it once per
-    source with no stop.
+    from the whole hom table.  `bypass_search`, which keeps nothing,
+    runs over the successors of interned stages: the composition point
+    calls (`composition_nonzero`, `composition_nonzero_right`) run it
+    from one start and stop at their target, and the faithful table
+    grows one tree per source with no stop.  `bypass_chain` searches
+    levels on matchings (`_chain_levels`), which interns nothing, and
+    interns only the stages of the chain it returns.
 
     Four unbounded caches stay outside: divset's `enumerate_objects` and
     `basic_sets` hold one entry per (n, e), `divset._basic` one instance

@@ -16,6 +16,12 @@ on the two sides of each chord of the figure and a walk around the
 negative region between the exit and target chords.  The library reads
 it from the clockwise order of the three chords' endpoints.
 
+`bypass_chain` is a breadth-first search over the cached successors of
+each stage, which keeps the first discoverer of each stage and stops at
+the target.  The library finds the levels of the shortest chains on
+matchings first, then walks the first move that stays on them, and
+interns only the stages of the chain it returns.
+
 `from_partition` rebuilds a nesting tree from its label partition by
 scanning the gaps of every candidate parent, and `surgery` and
 `serre_rotate` build an attach target and a rotation from the label
@@ -189,6 +195,25 @@ def find_moves(ds: DividingSet) -> list[BypassMove]:
                         bypass.validate_move(move)
                         moves.append(move)
     return sorted(set(moves), key=lambda b: (b.uv, b.ov, b.x, b.y, b.z))
+
+
+def bypass_chain(g: DividingSet, g2: DividingSet) -> Optional[tuple[BypassMove, ...]]:
+    """Shortest bypass chain from g to g2 through stages with hom into g2:
+    a breadth-first search over `Component.successors` that keeps the
+    first discoverer of each stage and stops at g2."""
+    if g == g2:
+        return ()
+    comp = homs.component(g.n, g.e)
+    start, target = comp.id(g), comp.id(g2)
+    prev = homs.bypass_search(comp, start, target, True, stop=target)
+    if target not in prev:
+        return None
+    chain = []
+    node = target
+    while node != start:
+        node, move = prev[node]
+        chain.append(move)
+    return tuple(reversed(chain))
 
 
 def from_partition(n: int, e: int, parts: Iterable[Iterable[int]]) -> DividingSet:

@@ -189,6 +189,14 @@ def test_attach_matches_the_partition_surgery_oracle(n, e):
             assert attach(g, mv) is comp.intern(oracle.surgery(mv))
 
 
+@pytest.mark.parametrize("n,e", pairs_up_to(6))
+def test_target_matchings_are_the_successor_targets(n, e):
+    comp = component(n, e)
+    for i in comp.ids():
+        want = sorted(comp.matchings[t] for t, _ in comp.successors(i))
+        assert sorted(bypass.target_matchings(comp.matchings[i])) == want
+
+
 @pytest.mark.parametrize("n,e", pairs_up_to(4))
 def test_reachability_of_nonzero_homs(n, e):
     objs = enumerate_objects(n, e)

@@ -155,6 +155,52 @@ def test_bypass_tree_paths_are_bypass_chain(n, e):
             assert [t for t, _ in steps] == [comp.target(comp.move_id(mv)) for mv in chain]
 
 
+@pytest.mark.parametrize("n,e", pairs_up_to(5))
+def test_bypass_chain_matches_the_first_discoverer_search(n, e):
+    # every ordered pair, Hom = 0 included
+    objs = enumerate_objects(n, e)
+    for g, g2 in itertools.product(objs, repeat=2):
+        assert bypass_chain(g, g2) == oracle.bypass_chain(g, g2)
+
+
+def test_bypass_chain_matches_the_first_discoverer_search_at_6_3():
+    objs = enumerate_objects(6, 3)
+    for g, g2 in itertools.product(objs, repeat=2):
+        if hom_nonzero(g, g2):
+            assert bypass_chain(g, g2) == oracle.bypass_chain(g, g2)
+
+
+def test_bypass_chain_does_not_filter_its_source():
+    # only the stages after g need a hom into g2, so three of the pairs
+    # of (2,1) with Hom(g, g2) = 0 still have a chain, of two moves
+    objs = enumerate_objects(2, 1)
+    chained = [
+        bypass_chain(g, g2)
+        for g, g2 in itertools.product(objs, repeat=2)
+        if not hom_nonzero(g, g2) and bypass_chain(g, g2) is not None
+    ]
+    assert [len(chain) for chain in chained] == [2, 2, 2]
+
+
+def test_a_walk_taking_the_last_move_onto_the_levels_fails_the_oracle(monkeypatch):
+    # the walk must take the first move, in Component.moves order, whose
+    # target lies on a shortest chain; reversing the moves it reads makes
+    # it take the last one.  Pinned: (changed chains, of them on pairs
+    # with Hom != 0)
+    want = {}
+    for n, e in ((3, 1), (4, 2), (5, 2)):
+        objs = enumerate_objects(n, e)
+        pairs = itertools.product(objs, repeat=2)
+        want[n, e] = {(g, g2): oracle.bypass_chain(g, g2) for g, g2 in pairs}
+    moves = homs.Component.moves
+    monkeypatch.setattr(homs.Component, "moves", lambda self, i: moves(self, i)[::-1])
+    changed = {}
+    for ne, chains in want.items():
+        pairs = [p for p, chain in chains.items() if bypass_chain(*p) != chain]
+        changed[ne] = len(pairs), sum(hom_nonzero(*p) for p in pairs)
+    assert changed == {(3, 1): (2, 2), (4, 2): (145, 60), (5, 2): (1235, 446)}
+
+
 @pytest.mark.parametrize("n,e", pairs_up_to(4))
 def test_composition_order_insensitive(n, e):
     objs = enumerate_objects(n, e)
