@@ -159,6 +159,8 @@ def find_moves(ds: DividingSet) -> list[BypassMove]:
     is built from the chords' slots: y is the exit's slot, z the target's
     slot + 1, and x = a + 1 for the entry's slot a.  Distinct
     configurations give distinct moves, all valid, so none is checked.
+    `target_matchings` enumerates the same configurations on the
+    matching; a change to either must be made to both.
     """
     slots = chord_slots(ds)
     moves = []
@@ -199,7 +201,9 @@ def target_matchings(m: Matching) -> list[Matching]:
     named by its odd endpoint p and oriented (p, m[p]), as
     `BypassMove.chords` orients it.  As in find_moves, a move takes an
     ordered pair of distinct chords (exit b, target c) of one negative
-    face and any other chord a of b's positive face as the entry.
+    face and any other chord a of b's positive face as the entry.  The
+    two must enumerate the same configurations; a change to either must
+    be made to both (tests/test_bypass.py compares them for n <= 6).
     """
     size = len(m)
     out = []
