@@ -26,8 +26,11 @@ Conventions, fixed once and used by every other module:
 
 The tree form (`DividingSet`) drives the algebra; the matching form, m[p]
 the point paired with p, drives curve counts, and bypass surgery and
-rotation edit a few of its entries.  `to_matching` encodes a tree, and
-`from_matching`, one stack scan over the labels, is the one decoder.
+rotation edit a few of its entries.  `to_matching` encodes a tree.  One
+stack scan over the labels at which the blocks of a noncrossing
+partition open (`_nesting_tree`) builds every tree: `from_matching`
+decodes a matching's positive faces with it, and `enumerate_objects`
+the partitions it generates.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BadBase, EulerMismatch, IndexOutOfRange, NotBasic
 
@@ -63,11 +66,12 @@ class DividingSet:
         items = tuple(sorted((tuple(v), tuple(sorted(labels))) for v, labels in comps.items()))
         return DividingSet(n, e, items)
 
-    # The label map, the chords, the non-based and non-boundary-parallel
-    # vectors, the basic index and the geometry are facts of the dividing
-    # set alone, so each is computed once per instance and kept in its
-    # __dict__, as the hash is.  The component index hands out one
-    # interned instance per object, so these are not computed twice.
+    # The label map, the chords, the matching, the non-based and
+    # non-boundary-parallel vectors, the basic index and the geometry are
+    # facts of the dividing set alone, so each is computed once per
+    # instance and kept in its __dict__, as the hash is.  The component
+    # index hands out one interned instance per object, so these are not
+    # computed twice.
 
     def labels(self, v: NestVector) -> tuple[int, ...]:
         table = self.__dict__.get("_labels")
@@ -231,7 +235,8 @@ def is_crossingless_matching(m: Sequence[int]) -> bool:
 
 
 def positive_faces(m: Matching) -> list[frozenset[int]]:
-    """Components of the positive region, as label sets (cycles of s -> m(2s+1)/2)."""
+    """Components of the positive region, as label sets (cycles of s -> m(2s+1)/2),
+    listed by their smallest labels."""
     n1 = len(m) // 2
     seen = [False] * n1
     out = []
@@ -249,21 +254,50 @@ def positive_faces(m: Matching) -> list[frozenset[int]]:
 
 
 def to_matching(ds: DividingSet) -> Matching:
-    m = [-1] * (2 * ds.n + 2)
-    for v, _ in ds.components:
-        for a, b in ds.chords(v):
-            m[a], m[b] = b, a
-    return tuple(m)
+    """The matching of ds, kept on the instance (enumerate_objects and
+    from_matching set it as they build it)."""
+    m = ds.__dict__.get("_matching")
+    if m is None:
+        out = [-1] * (2 * ds.n + 2)
+        for v, _ in ds.components:
+            for a, b in ds.chords(v):
+                out[a], out[b] = b, a
+        m = ds.__dict__["_matching"] = tuple(out)
+    return m
+
+
+def _nesting_tree(blocks: Sequence[Sequence[int]]) -> tuple:
+    """The sorted components of a noncrossing partition of {0..n}, given
+    as its blocks' ascending labels, listed by their smallest labels (so
+    label 0's, the based block, first).
+
+    A left-to-right scan over the labels at which blocks open keeps a
+    stack of the open blocks (open up to their largest label; the based
+    block up to n+1): a new block's parent is the open block on top, and
+    siblings are numbered in the order they are met.  Blocks are met in
+    preorder of the tree, which is the order of their vectors.
+    """
+    vectors: list[NestVector] = [STAR]
+    children = [0] * len(blocks)
+    stack = [0]
+    for b in range(1, len(blocks)):
+        first = blocks[b][0]
+        while stack[-1] and blocks[stack[-1]][-1] < first:
+            stack.pop()
+        top = stack[-1]
+        children[top] += 1
+        vectors.append(vectors[top] + (children[top],))
+        stack.append(b)
+    return tuple(zip(vectors, map(tuple, blocks)))
 
 
 def from_matching(m: Matching, n: int, e: int) -> DividingSet:
     """Decode a crossingless matching on 2n+2 points into its nesting tree.
 
-    The positive faces are the label blocks.  A left-to-right scan over
-    the labels keeps a stack of the open blocks (open up to their largest
-    label; the based block up to n+1): a new block's parent is the open
-    block on top, and siblings are numbered in the order they are met.
+    The positive faces are the blocks, and `_nesting_tree` scans them
+    into the tree.  The result keeps m as its matching.
     """
+    m = tuple(m)
     if len(m) != 2 * n + 2 or not is_crossingless_matching(m):
         raise EulerMismatch("not a crossingless matching on 2n+2 points")
     faces = positive_faces(m)
@@ -271,62 +305,93 @@ def from_matching(m: Matching, n: int, e: int) -> DividingSet:
         raise EulerMismatch(
             f"matching has {len(faces)} positive components, expected {n - e + 1}"
         )
-    block = [0] * (n + 1)
-    for b, face in enumerate(faces):
-        for s in face:
-            block[s] = b
-    closes = [max(face) for face in faces]
-    closes[block[0]] = n + 1
-    vectors: list[Optional[NestVector]] = [None] * len(faces)
-    vectors[block[0]] = STAR
-    children = [0] * len(faces)
-    stack = [block[0]]
-    for s in range(1, n + 1):
-        while closes[stack[-1]] < s:
-            stack.pop()
-        b, top = block[s], stack[-1]
-        if vectors[b] is None:
-            children[top] += 1
-            vectors[b] = vectors[top] + (children[top],)
-            stack.append(b)
-    ds = DividingSet.make(n, e, dict(zip(vectors, faces)))
-    if to_matching(ds) != tuple(m):
+    ds = DividingSet(n, e, _nesting_tree([sorted(face) for face in faces]))
+    if to_matching(ds) != m:
         raise EulerMismatch("matching is not realized by its face partition")
+    ds.__dict__["_matching"] = m  # the caller's tuple, which it may keep too
     return ds
 
 
-def noncrossing_matchings(n: int) -> Iterator[Matching]:
-    """All crossingless matchings of 2(n+1) points, lexicographically."""
-    size = 2 * n + 2
-    m = [-1] * size
+def _partitions(n: int, k: int) -> Iterator[tuple[Matching, list[list[int]]]]:
+    """The noncrossing partitions of {0..n} into k blocks, in the
+    lexicographic order of their matchings.
 
-    def place(i: int) -> Iterator[Matching]:
-        while i < size and m[i] >= 0:
-            i += 1
-        if i == size:
-            yield tuple(m)
+    Yields (matching, blocks) with blocks as `_nesting_tree` reads them;
+    the lists are reused, so read them before asking for the next.  Each
+    step fixes the partner of the first point whose partner is open,
+    trying partners in ascending order, as a lexicographic walk over
+    matchings does.  The open points fall into pending intervals of two
+    kinds, kept on a stack, the next one on top:
+
+    * a disk lo..hi of labels no chord has entered: label lo opens a new
+      block, and point 2lo pairs with 2a+1 for its largest label a; then
+      come the rest of that block from lo up to a and the disk a+1..hi;
+    * the rest of block b from its label t up to its largest label a:
+      point 2t+1 pairs with 2u for the next label u of b; then come the
+      disk t+1..u-1 and the rest of b from u.
+
+    Blocks open in the order of their smallest labels.  A branch is taken
+    only if k stays between the blocks opened plus one per pending disk
+    and the blocks opened plus one per label not yet placed.
+    """
+    m = [0] * (2 * n + 2)
+    blocks: list[list[int]] = []
+    todo: list[tuple[int, int, int]] = [(0, n, -1)]  # (lo, hi, -1) or (t, a, b)
+
+    def walk(free: int, disks: int) -> Iterator[tuple[Matching, list[list[int]]]]:
+        if not todo:
+            yield tuple(m), blocks
             return
-        for j in range(i + 1, size, 2):
-            if m[j] < 0:
-                m[i], m[j] = j, i
-                inner = all(m[k] < 0 or i < m[k] < j for k in range(i + 1, j))
-                if inner:
-                    yield from place(i + 1)
-                m[i], m[j] = -1, -1
+        task = lo, hi, b = todo.pop()
+        if b < 0:  # a disk
+            b = len(blocks)
+            blocks.append([lo])
+            free, disks = free - 1, disks - 1
+            for a in range(lo, hi + 1):
+                rest, outer = a > lo, a < hi
+                if len(blocks) + disks + outer <= k <= len(blocks) + free - rest:
+                    m[2 * lo], m[2 * a + 1] = 2 * a + 1, 2 * lo
+                    if outer:
+                        todo.append((a + 1, hi, -1))
+                    if rest:
+                        todo.append((lo, a, b))
+                    yield from walk(free - rest, disks + outer)
+                    del todo[len(todo) - rest - outer :]
+            blocks.pop()
+        else:  # the rest of block b from lo up to hi
+            labels = blocks[b]
+            for u in range(lo + 1, hi + 1):
+                inner, rest = u > lo + 1, u < hi
+                if len(blocks) + disks + inner <= k <= len(blocks) + free - rest:
+                    labels.append(u)
+                    m[2 * lo + 1], m[2 * u] = 2 * u, 2 * lo + 1
+                    if rest:
+                        todo.append((u, hi, b))
+                    if inner:
+                        todo.append((lo + 1, u - 1, -1))
+                    yield from walk(free - rest, disks + inner)
+                    del todo[len(todo) - rest - inner :]
+                    labels.pop()
+        todo.append(task)
 
-    yield from place(0)
+    yield from walk(n + 1, 1)
 
 
 @lru_cache(maxsize=None)  # one entry per (n, e): at most 45 under --max-n 8
 def enumerate_objects(n: int, e: int) -> tuple[DividingSet, ...]:
-    """All dividing sets of the (n, e) component, ordered by their matching
-    (noncrossing_matchings yields the matchings in lexicographic order)."""
+    """All dividing sets of the (n, e) component, ordered by their matching.
+
+    They are the noncrossing partitions of {0..n} into n-e+1 blocks, which
+    `_partitions` generates in matching order with their matchings; each
+    keeps its matching (see to_matching).
+    """
     if not 0 <= e <= n:
         raise EulerMismatch(f"need 0 <= e <= n, got e={e}, n={n}")
     out = []
-    for m in noncrossing_matchings(n):
-        if len(positive_faces(m)) == n - e + 1:
-            out.append(from_matching(m, n, e))
+    for m, blocks in _partitions(n, n - e + 1):
+        ds = DividingSet(n, e, _nesting_tree(blocks))
+        ds.__dict__["_matching"] = m
+        out.append(ds)
     return tuple(out)
 
 

@@ -71,9 +71,12 @@ def _curves(m: Matching, m2: Matching) -> int:
 
 @lru_cache(maxsize=None)  # the benchmark's tracer reads its cache_info
 def rounded_components(g: DividingSet, g2: DividingSet) -> int:
-    """Number of closed curves after stacking g under g2 and edge rounding."""
+    """Number of closed curves after stacking g under g2 and edge rounding,
+    read off the interned matchings, so that a key this cache holds keeps
+    no matching of its own."""
     _check_same_component(g, g2)
-    return _curves(to_matching(g), to_matching(g2))
+    comp = component(g.n, g.e)
+    return _curves(comp.matchings[comp.id(g)], comp.matchings[comp.id(g2)])
 
 
 def hom_nonzero(g: DividingSet, g2: DividingSet) -> bool:

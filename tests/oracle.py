@@ -22,6 +22,12 @@ the target.  The library finds the levels of the shortest chains on
 matchings first, then walks the first move that stays on them, and
 interns only the stages of the chain it returns.
 
+`enumerate_objects` walks every crossingless matching of 2n+2 points in
+lexicographic order (`noncrossing_matchings`), keeps those with n-e+1
+positive faces and decodes each with `divset.from_matching`.  The
+library generates the noncrossing partitions with n-e+1 blocks directly,
+in the same order, with their matchings.
+
 `from_partition` rebuilds a nesting tree from its label partition by
 scanning the gaps of every candidate parent, and `surgery` and
 `serre_rotate` build an attach target and a rotation from the label
@@ -49,13 +55,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
-from diskcontact import bypass, functor, gf2, homs, kom
+from diskcontact import bypass, divset, functor, gf2, homs, kom
 from diskcontact.bypass import BypassMove, attach
-from diskcontact.divset import STAR, DividingSet, NestVector, basic_of, chord_key, ds_to_json, geometry
-from diskcontact.divset import enumerate_objects, nesting_sets
-from diskcontact.errors import ShapeMismatch
+from diskcontact.divset import STAR, DividingSet, Matching, NestVector, basic_of, chord_key, ds_to_json, geometry
+from diskcontact.divset import from_matching, nesting_sets, positive_faces
+from diskcontact.errors import EulerMismatch, ShapeMismatch
 from diskcontact.suites import _not_exact
 
 
@@ -214,6 +220,39 @@ def bypass_chain(g: DividingSet, g2: DividingSet) -> Optional[tuple[BypassMove, 
         node, move = prev[node]
         chain.append(move)
     return tuple(reversed(chain))
+
+
+def noncrossing_matchings(n: int) -> Iterator[Matching]:
+    """All crossingless matchings of 2(n+1) points, lexicographically."""
+    size = 2 * n + 2
+    m = [-1] * size
+
+    def place(i: int) -> Iterator[Matching]:
+        while i < size and m[i] >= 0:
+            i += 1
+        if i == size:
+            yield tuple(m)
+            return
+        for j in range(i + 1, size, 2):
+            if m[j] < 0:
+                m[i], m[j] = j, i
+                inner = all(m[k] < 0 or i < m[k] < j for k in range(i + 1, j))
+                if inner:
+                    yield from place(i + 1)
+                m[i], m[j] = -1, -1
+
+    yield from place(0)
+
+
+def enumerate_objects(n: int, e: int) -> tuple[DividingSet, ...]:
+    """The dividing sets of the (n, e) component, ordered by their matching."""
+    if not 0 <= e <= n:
+        raise EulerMismatch(f"need 0 <= e <= n, got e={e}, n={n}")
+    return tuple(
+        from_matching(m, n, e)
+        for m in noncrossing_matchings(n)
+        if len(positive_faces(m)) == n - e + 1
+    )
 
 
 def from_partition(n: int, e: int, parts: Iterable[Iterable[int]]) -> DividingSet:
@@ -523,7 +562,7 @@ def chain_order_insensitive(n: int, e: int) -> Optional[dict]:
 def exactness(n: int, e: int) -> Optional[dict]:
     comp = homs.component(n, e)
     tris: dict = {}
-    for g in enumerate_objects(n, e):
+    for g in divset.enumerate_objects(n, e):
         for mv in bypass.enumerate_bypasses(g):
             t = bypass.triangle(g, mv)
             tris[t.g1, t.g2, t.g3] = None

@@ -37,6 +37,20 @@ def test_enumerate_count(capsys):
     assert code == 0 and out.strip() == "6"
 
 
+@pytest.mark.parametrize(
+    "argv,count",
+    [
+        (("--max-n", "9", "enumerate", "--n", "9", "--e", "4"), 5292),
+        (("enumerate", "--n", "0", "--e", "0"), 1),
+        (("enumerate", "--n", "8", "--e", "0"), 1),  # one block per label
+        (("enumerate", "--n", "8", "--e", "8"), 1),  # one block
+    ],
+)
+def test_enumerate_counts_at_the_extreme_block_counts(capsys, argv, count):
+    code, out = run(capsys, *argv, "--format", "count")
+    assert code == 0 and out.strip() == str(count)
+
+
 def test_enumerate_deterministic(capsys):
     _, out1 = run(capsys, "enumerate", "--n", "3", "--e", "1")
     _, out2 = run(capsys, "enumerate", "--n", "3", "--e", "1")

@@ -17,7 +17,6 @@ from diskcontact.divset import (
     from_matching,
     is_crossingless_matching,
     nesting_sets,
-    noncrossing_matchings,
     positive_faces,
     to_matching,
     validate,
@@ -26,6 +25,7 @@ from diskcontact.errors import BadBase, EulerMismatch, IndexOutOfRange, NotBasic
 
 import oracle
 from conftest import pairs_up_to
+from oracle import noncrossing_matchings
 
 
 def negative_faces(m):
@@ -92,6 +92,11 @@ def test_enumerated_objects_validate_and_roundtrip(n, e):
     for ds in enumerate_objects(n, e):
         assert validate(ds).ok
         assert from_matching(to_matching(ds), n, e) == ds
+
+
+@pytest.mark.parametrize("n,e", pairs_up_to(8) + [(9, 4)])
+def test_enumeration_matches_the_matching_walk_oracle(n, e):
+    assert enumerate_objects(n, e) == oracle.enumerate_objects(n, e)
 
 
 @pytest.mark.parametrize("n", range(0, 6))

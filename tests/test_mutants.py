@@ -19,9 +19,12 @@ import dataclasses
 import pytest
 
 import oracle
-from diskcontact import bypass, functor, homs, kom, suites
+from diskcontact import bypass, divset, functor, homs, kom, suites
 from diskcontact.divset import basic_sets, geometry
 
+ALL_VALID = "divset.enumerated_all_valid"
+ROUNDTRIP = "divset.matching_roundtrip"
+COUNT = "divset.count_vs_bruteforce"
 IDENTITY = "homs.identity_one_curve"
 SPLITS = "functor.differential_splits_by_negative_region"
 COMMUTE = "functor.region_partials_commute"
@@ -43,6 +46,7 @@ INTO_ROTATION = "serre.hom_into_rotation_nonzero"
 RESOLUTION = "serre.resolution_matches_lemma"
 CALABI_YAU = "serre.calabi_yau_power"
 TRANSFORM = "serre.transform_commutes_with_functor"  # run at n <= 3 only
+ORDER = "serre.rotation_has_order_n_plus_1"
 ROTATION = {INTO_ROTATION, RESOLUTION, CALABI_YAU}
 CLOSURE = "triangles.closure_degree_sum_region_rotation"
 COMPOSITIONS = "triangles.consecutive_compositions_vanish"
@@ -53,12 +57,12 @@ DISJOINT = "triangles.disjoint_pairs_commute"
 CURVE_COUNT_USERS = {PRODUCT, INTO_ROTATION, CALABI_YAU, TABLE}
 UNCOVERED = {
     "divset.basic_count_binomial",
-    "divset.count_vs_bruteforce",
-    "divset.enumerated_all_valid",
-    "divset.matching_roundtrip",
     "divset.relative_nesting_partition",
-    "serre.rotation_has_order_n_plus_1",
 }
+# what objects that keep another object's matching break beyond the divset suite
+WRONG_MATCHING_USERS = {PRODUCT, SPLITS, COMMUTE, CHAIN_MAPS, SPLIT_LAWS, REVERSE, TABLE}
+WRONG_MATCHING_USERS |= {GREEDY, EQUIVARIANT, SERRE, STACK_ORDER, EXACTNESS, ORDER, CALABI_YAU, RESOLUTION}
+WRONG_MATCHING_USERS |= {CLOSURE, COMPOSITIONS, DISJOINT, GAMMA, DISTINGUISHED}
 
 
 def rim_corner_off_by_one(rim):
@@ -197,9 +201,70 @@ def deg_formula_off_in_region_5(deg_formula):
     return mutated
 
 
+def last_label_never_opens_a_block(partitions):
+    def mutated(n, k):
+        for m, blocks in partitions(n, k):
+            if blocks[-1][0] < n:  # the blocks are listed by their smallest labels
+                yield m, blocks
+
+    return mutated
+
+
+def matching_of_the_previous_partition(partitions):
+    def mutated(n, k):
+        previous = None
+        for m, blocks in partitions(n, k):
+            yield previous or m, blocks
+            previous = m
+
+    return mutated
+
+
+def one_sibling_counter_for_all_parents(nesting_tree):
+    def mutated(blocks):
+        comps = nesting_tree(blocks)  # in preorder, the based component first
+        renumbered = {(): ()}
+        for t, (v, _) in enumerate(comps[1:], start=1):
+            renumbered[v] = renumbered[v[:-1]] + (t,)
+        return tuple((renumbered[v], labels) for v, labels in comps)
+
+    return mutated
+
+
 # name: (the fact it breaks, the suites it touches, owner and name of the
 # function replaced, mutation, failing checks per (n, e))
 MUTANTS = {
+    "last_label_never_opens_a_block": (
+        "every noncrossing partition into n-e+1 blocks is an object, those with {n} a block included",
+        ("divset", "homs", "faithful"),
+        (divset, "_partitions"),
+        last_label_never_opens_a_block,
+        {
+            (3, 1): {COUNT, EQUIVARIANT, SERRE, STACK_ORDER, EXACTNESS, TABLE},
+            (4, 2): {COUNT, EQUIVARIANT, SERRE, STACK_ORDER, EXACTNESS, TABLE},
+            (5, 2): {COUNT, EQUIVARIANT, SERRE, STACK_ORDER, EXACTNESS, TABLE},
+        },
+    ),
+    "matching_of_the_previous_partition": (
+        "each enumerated object keeps the matching of its own partition",
+        ("divset", "homs", "algebra", "functor", "triangles", "serre", "faithful"),
+        (divset, "_partitions"),
+        matching_of_the_previous_partition,
+        {
+            (3, 1): {ROUNDTRIP, TRANSFORM} | WRONG_MATCHING_USERS,
+            (4, 2): {ROUNDTRIP} | WRONG_MATCHING_USERS,
+            (5, 2): {ROUNDTRIP} | WRONG_MATCHING_USERS,
+        },
+    ),
+    "one_sibling_counter_for_all_parents": (
+        "a component's index counts the components met before it directly inside the same parent",
+        ("divset",),
+        (divset, "_nesting_tree"),
+        one_sibling_counter_for_all_parents,
+        # the basic sets, whose components all nest directly in the based
+        # one, keep their numbering
+        {(3, 1): {ALL_VALID}, (4, 2): {ALL_VALID}, (5, 2): {ALL_VALID}},
+    ),
     "rim_corner_off_by_one": (
         "a region's partial starts at the walk-entry corner of each rim chord",
         ("functor",),
@@ -352,18 +417,28 @@ MUTANTS = {
     ),
 }
 # the mutants under which the homs checks need not fail as their loops over
-# every object do: two break the rotation equivariance, and
+# every object do: four break the rotation equivariance (two drop a move
+# or objects from a rotation orbit, two give objects moves or matchings
+# that are not theirs), and
 # rotation_reversed replaces the rotation the reduced checks read, while
 # the loops read their own (oracle.serre_rotate)
 LOOPS_MAY_DIFFER = {"last_move_dropped", "target_slot_off_by_one", "rotation_reversed"}
+LOOPS_MAY_DIFFER |= {"last_label_never_opens_a_block", "matching_of_the_previous_partition"}
+
+
+def clear_caches():
+    """Drop what a mutant may have built: the enumerated components and
+    everything the component index keeps."""
+    divset.enumerate_objects.cache_clear()
+    homs.component.cache_clear()
+    homs.rounded_components.cache_clear()
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_mutant_fails_exactly_its_checks(name, monkeypatch):
     fact, touched, (owner, attr), mutate, want = MUTANTS[name]
     monkeypatch.setattr(owner, attr, mutate(getattr(owner, attr)))
-    homs.component.cache_clear()
-    homs.rounded_components.cache_clear()
+    clear_caches()
     try:
         got, loops = {}, {}
         for n, e in want:
@@ -376,8 +451,7 @@ def test_mutant_fails_exactly_its_checks(name, monkeypatch):
                     for check_id, loop in oracle.HOMS_LOOPS.items():
                         loops[n, e, check_id] = (reduced[check_id], loop(n, e))
     finally:
-        homs.component.cache_clear()
-        homs.rounded_components.cache_clear()
+        clear_caches()
     assert got == want, fact
     for key, (reduced, unreduced) in loops.items():
         assert reduced == unreduced, key
