@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .bypass import BypassMove, Triangle, zero_region
 from .divset import (
@@ -415,12 +415,20 @@ def F_of_morphism(g: DividingSet, g2: DividingSet) -> ChainMap:
     return f
 
 
-def F_of_tree(F: Complex, tree: dict) -> dict:
+def F_of_tree(F: Complex, tree: dict, targets: Iterable[int]) -> dict:
     """F_of_morphism's map from the root of a homs.bypass_search tree,
-    whose image is F, to each stage of the tree, by stage id.  A stage's
-    map is its parent's composed with the move onto it."""
+    whose image is F, to each target the tree reaches and each stage on
+    the way, by stage id.  A stage's map is its parent's composed with
+    the move onto it."""
+    wanted = set()
+    for t in targets:
+        while t in tree and t not in wanted:
+            wanted.add(t)
+            t = tree[t][0] if tree[t] else t  # the root, already wanted, ends the walk
     maps: dict = {}
-    for t, step in tree.items():
+    for t, step in tree.items():  # a parent is discovered before its children
+        if t not in wanted:
+            continue
         if step is None:
             maps[t] = identity_map(F)
         else:

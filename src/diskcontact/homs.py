@@ -254,16 +254,16 @@ class Component:
     `component` evicts it: the bypass moves of each object with their
     targets and, once a move is looked up by its chords, a table from
     their chord triples to their ids (`move_at`), each object's rotation
-    (`rotate`), hom rows, tight rows, reachability closures of orbit
-    representatives, and the tables other modules fill: bypass
-    triangles, F-images, bypass chain maps and induced rotation blocks
-    (by pairs of basic indices).  Hom rows are filled only as a whole
-    table (`hom_table`, which the first hom_out or hom_in fills), and a
-    composition mask covers the whole component too, so asking for
-    either enumerates it; a point query reads `_stage_filter`, which
-    fills no row.  Each object's moves come from `bypass.find_moves`,
-    which builds them valid; `move_id` validates a move it has not seen,
-    so a move from outside is checked once.
+    (`rotate`) and reflection (`reflect`), hom rows, tight rows,
+    reachability closures of orbit representatives, and the tables other
+    modules fill: bypass triangles, F-images, bypass chain maps and
+    induced rotation blocks (by pairs of basic indices).  Hom rows are
+    filled only as a whole table (`hom_table`, which the first hom_out or
+    hom_in fills), and a composition mask covers the whole component too,
+    so asking for either enumerates it; a point query reads
+    `_stage_filter`, which fills no row.  Each object's moves come from
+    `bypass.find_moves`, which builds them valid; `move_id` validates a
+    move it has not seen, so a move from outside is checked once.
 
     The rotation σ (`rotate`, the paper's Serre functor on objects) has
     order n+1, and the exhaustive tables use it.  Each orbit is
@@ -315,6 +315,7 @@ class Component:
         self._in: dict[int, int] = {}  # j -> mask of i with Hom(i, j) != 0
         self._tight: dict[int, int] = {}  # basic index b -> mask of c with tight_basic(b, c)
         self._rotated: dict[int, int] = {}  # i -> id of σi
+        self._reflected: dict[int, int] = {}  # i -> id of ri
         # (representative, shift, powers) once the component is enumerated; see _orbits
         self._orbit_table: Optional[tuple[list[int], list[int], list[list[int]]]] = None
         # (representative anchor, into, reverse) -> kept stage -> mask of the
@@ -446,6 +447,18 @@ class Component:
             size = len(m)
             rotated = tuple((m[(p + 2) % size] - 2) % size for p in range(size))
             r = self._rotated[i] = self.matching_id(rotated)
+        return r
+
+    def reflect(self, i: int) -> int:
+        """Id of ri, the reflection that keeps arc 0 in place: every label s
+        becomes -s mod n+1, so the reflected matching is m'[p] = 1 - m[1 - p]
+        (mod 2n+2).  It reverses morphisms: Hom(i, j) = Hom(rj, ri)."""
+        r = self._reflected.get(i)
+        if r is None:
+            m = self.matchings[i]
+            size = len(m)
+            reflected = tuple((1 - m[(1 - p) % size]) % size for p in range(size))
+            r = self._reflected[i] = self.matching_id(reflected)
         return r
 
     def _orbits(self) -> tuple[list[int], list[int], list[list[int]]]:

@@ -49,6 +49,10 @@ number (`functor.index_tuples`).
 variable over every object, in enumeration order, and returns the
 counterexample each meets first (None if there is none).  The suite
 loops over one representative per rotation orbit instead.
+
+`full_table` and `reverse_bypass_zero` are the faithful suite's table
+and reverse bypass check over every ordered pair.  The suite checks one
+pair of each mirrored pair {(i, j), (rj, ri)} under the reflection r.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from diskcontact.bypass import BypassMove, attach
 from diskcontact.divset import STAR, DividingSet, Matching, NestVector, basic_of, chord_key, ds_to_json, geometry
 from diskcontact.divset import from_matching, nesting_sets, positive_faces
 from diskcontact.errors import EulerMismatch, ShapeMismatch
-from diskcontact.suites import _not_exact
+from diskcontact.suites import _move_json, _not_exact
 
 
 def rank(vectors: Iterable[int]) -> int:
@@ -583,4 +587,46 @@ HOMS_LOOPS = {
     "homs.serre_duality_iff": serre_iff,
     "homs.stack_order_insensitive": chain_order_insensitive,
     "homs.triangle_exactness": exactness,
+}
+
+
+# ---------------------------------------------------------------------------
+# the faithful suite's pair checks, over every ordered pair
+
+
+def full_table(n: int, e: int) -> Optional[dict]:
+    comp = homs.component(n, e)
+    comp.hom_table()
+    objs = divset.enumerate_objects(n, e)
+    row = list(zip(objs, comp.ids(), map(functor.build_F, objs)))
+    for g, i, F in row:
+        retracts = kom.column_retracts(F)
+        out = comp.hom_out(i)
+        tree = homs.bypass_search(comp, i, i, False)
+        maps = functor.F_of_tree(F, tree, tree)
+        for g2, j, F2 in row:
+            want = out >> j & 1
+            got = kom.hom_total_from(retracts, F2)
+            if got != want:
+                return {"src": ds_to_json(g), "dst": ds_to_json(g2), "got": got}
+            if want:
+                f = maps.get(j)
+                if f is None:
+                    return {"src": ds_to_json(g), "dst": ds_to_json(g2), "reached": False}
+                if kom.is_nullhomotopic_from(retracts, f):
+                    return {"src": ds_to_json(g), "dst": ds_to_json(g2), "null": True}
+    return None
+
+
+def reverse_bypass_zero(n: int, e: int) -> Optional[dict]:
+    for g in divset.enumerate_objects(n, e):
+        for mv in bypass.enumerate_bypasses(g):
+            if kom.hom_total(functor.build_F(attach(g, mv)), functor.build_F(g)) != 0:
+                return {"ds": ds_to_json(g), "move": _move_json(mv)}
+    return None
+
+
+FAITHFUL_LOOPS = {
+    "faithful.hom_table_matches_contact_category": full_table,
+    "faithful.reverse_bypass_hom_vanishes": reverse_bypass_zero,
 }

@@ -1,12 +1,13 @@
 """The faithful hom table: column retracts against the per-pair
-HomComplex oracle, and mutations the faithful suite must catch."""
+HomComplex oracle, the reflection duality that lets the table visit one
+pair of each mirrored pair, and mutations the faithful suite must catch."""
 
 import itertools
 
 import pytest
 
-from diskcontact import bypass, functor, homs, kom, suites
-from diskcontact.divset import basic_sets, ds_to_json, enumerate_objects
+from diskcontact import bypass, functor, homs, kom, reflection, suites
+from diskcontact.divset import basic_of, basic_sets, ds_to_json, enumerate_objects
 from diskcontact.errors import ComponentMismatch, ShapeMismatch
 from diskcontact.kom import (
     ChainMap,
@@ -20,6 +21,7 @@ from diskcontact.kom import (
     shift,
 )
 
+import oracle
 from conftest import pairs_up_to
 from oracle import HomComplex, hom_by_degree, hom_total, is_nullhomotopic, nullspace
 
@@ -169,6 +171,121 @@ def test_F_of_morphism_starts_from_the_first_bypass_map():
             assert f == ref and f.src is functor.build_F(g)
 
 
+# ---------------------------------------------------------------------------
+# the reflection r and the dual D: the table visits one pair of each
+# mirrored pair {(i, j), (rj, ri)}
+
+
+def reflected(g):
+    """(rg, phi, c): summand p of F(g) goes to summand phi[p] of F(rg),
+    and h_p + h_phi[p] = c."""
+    comp = homs.component(g.n, g.e)
+    rg = comp.objects[comp.reflect(comp.id(g))]
+    F, R = functor.build_F(g), functor.build_F(rg)
+    phi = reflection.summand_reflection(reflection.reflected_basics(g.n, g.e), F, R)
+    return rg, phi, F.summands[0].h + R.summands[phi[0]].h
+
+
+def dual(f, g, g2):
+    """D f: F(rg2) -> F(rg) for f: F(g) -> F(g2), relabelled by the summand bijections."""
+    rg, phi, c = reflected(g)
+    rg2, phi2, c2 = reflected(g2)
+    entries = frozenset((phi2[q], phi[p]) for p, q in f.entries)
+    return ChainMap(functor.build_F(rg2), functor.build_F(rg), f.k + c - c2, entries)
+
+
+def reversed_move(mv):
+    """The one bypass r(target) -> r(source) of a bypass source -> target."""
+    comp = homs.component(mv.source.n, mv.source.e)
+    s, t = comp.id(mv.source), comp.target(comp.move_id(mv))
+    (back,) = [m for x, m in comp.successors(comp.reflect(t)) if x == comp.reflect(s)]
+    return back
+
+
+def reflected_chain_map(g, g2):
+    """F of the reflected chain from rg2 to rg: F(rb_k), ..., F(rb_1) for
+    the chain b_1, ..., b_k that F_of_morphism(g, g2) composes."""
+    rg2 = reflected(g2)[0]
+    f = kom.identity_map(functor.build_F(rg2))
+    for mv in reversed(homs.bypass_chain(g, g2)):
+        f = kom.compose(f, functor.chain_map_F(reversed_move(mv)))
+    return f
+
+
+def canonical(comp, i, j):
+    return comp.reflect(j) >= i
+
+
+def assert_mirror_is_exact_dual(g, g2):
+    # the table does not visit (rg2, rg); D of its canonical pair's map is
+    # F of the reflected chain, exactly
+    assert dual(functor.F_of_morphism(g, g2), g, g2) == reflected_chain_map(g, g2)
+
+
+@pytest.mark.parametrize("n,e", pairs_up_to(6))
+def test_reflection_reverses_moves_and_dualizes_the_summands(n, e):
+    comp = homs.component(n, e)
+    ids = comp.ids()
+    # an involution of the component that maps basic sets to basic sets
+    assert sorted(map(comp.reflect, ids)) == sorted(ids)
+    assert all(comp.reflect(comp.reflect(i)) == i for i in ids)
+    for b in basic_sets(n, e):
+        assert comp.objects[comp.reflect(comp.id(b))] == basic_of(n, e, [-s % (n + 1) for s in b.star])
+    for i in ids:
+        g, rg = comp.objects[i], comp.objects[comp.reflect(i)]
+        # each move has exactly one reversed move
+        for t, mv in comp.successors(i):
+            assert [x for x, _ in comp.successors(comp.reflect(t))].count(comp.reflect(i)) == 1
+        # the summand omitting S goes to the one omitting -S, h + h' is
+        # constant and every arrow is reversed, one omitting index at a time
+        indices, mirrored = oracle.omitting_indices(g), oracle.omitting_indices(rg)
+        where = {oracle.omitted_labels(rg, y): q for q, y in enumerate(mirrored)}
+        phi = [where[frozenset(-s % (n + 1) for s in oracle.omitted_labels(g, x))] for x in indices]
+        assert sorted(phi) == list(range(len(mirrored)))
+        heights = {oracle.coh_degree(g, x) + oracle.coh_degree(rg, mirrored[phi[p]]) for p, x in enumerate(indices)}
+        assert len(heights) == 1
+        arrows = {(q, mirrored.index(y)) for q, x in enumerate(mirrored) for _, y in oracle.differential_data(rg, x)}
+        assert arrows == {
+            (phi[indices.index(y)], phi[p]) for p, x in enumerate(indices) for _, y in oracle.differential_data(g, x)
+        }
+
+
+def _mirrored_tree_maps(n, e):
+    """(D of the tree map of (i, j), the tree map of its mirror (rj, ri))
+    for each pair i != j with Hom != 0, canonical or not."""
+    comp = homs.component(n, e)
+    comp.hom_table()
+    ids = comp.ids()
+    maps = {}
+    for i in ids:
+        tree = homs.bypass_search(comp, i, i, False)
+        maps[i] = functor.F_of_tree(functor.build_F(comp.objects[i]), tree, tree)
+    for i in ids:
+        for j in homs._bits(comp.hom_out(i)):
+            ri, rj = comp.reflect(i), comp.reflect(j)
+            if j != i:
+                yield dual(maps[i][j], comp.objects[i], comp.objects[j]), maps[rj][ri]
+
+
+@pytest.mark.parametrize("n,e", pairs_up_to(6))
+def test_dual_of_each_tree_map_is_homotopic_to_the_mirrored_tree_map(n, e):
+    equal = total = 0
+    for d, f in _mirrored_tree_maps(n, e):
+        assert (d.src, d.dst, d.k) == (f.src, f.dst, f.k)
+        assert is_nullhomotopic_from(column_retracts(f.src), kom.add_maps(d, f))
+        equal += d == f
+        total += 1
+    if (n, e) == (6, 3):
+        assert (equal, total) == (5914, 7119)  # the count the faithful suite cites
+
+
+@pytest.mark.parametrize("n,e", pairs_up_to(6))
+def test_reduced_checks_agree_with_the_loops_over_every_pair(n, e):
+    checks = {c.check_id: c for c in suites.suite_faithful(n, e).checks}
+    for check_id, loop in oracle.FAITHFUL_LOOPS.items():
+        assert checks[check_id].ok == (loop(n, e) is None)
+
+
 @pytest.mark.parametrize("n,e", [(4, 2), (5, 2)])
 def test_table_tests_the_maps_F_of_morphism_builds(monkeypatch, n, e):
     tested = []
@@ -180,13 +297,20 @@ def test_table_tests_the_maps_F_of_morphism_builds(monkeypatch, n, e):
 
     monkeypatch.setattr(kom, "is_nullhomotopic_from", record)
     assert _table_check(n, e).ok
+    comp = homs.component(n, e)
     objs = enumerate_objects(n, e)
-    pairs = [(g, g2) for g, g2 in itertools.product(objs, repeat=2) if homs.hom_nonzero(g, g2)]
-    assert len(tested) == len(pairs)
+    nonzero = [(g, g2) for g, g2 in itertools.product(objs, repeat=2) if homs.hom_nonzero(g, g2)]
+    pairs = [(g, g2) for g, g2 in nonzero if canonical(comp, comp.id(g), comp.id(g2))]
+    assert len(tested) == len(pairs) < len(nonzero)
     for f, (g, g2) in zip(tested, pairs):
         ref = functor.F_of_morphism(g, g2)
         assert f.entries == ref.entries and f.k == ref.k and f.src is ref.src
         assert f.dst == ref.dst
+        # every other nonzero pair is the mirror of a tested one, and gets
+        # the exact dual of the tested map
+        assert dual(f, g, g2) == reflected_chain_map(g, g2)
+    mirrors = {(reflected(g2)[0], reflected(g)[0]) for g, g2 in pairs}
+    assert mirrors | set(pairs) == set(nonzero)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +340,15 @@ def test_faithful_table_passes_unmutated():
 
 
 def _middle_nonzero_pair(n, e):
+    """The middle of the canonical pairs (g, g2) with Hom != 0 whose mirror
+    is another pair."""
+    comp = homs.component(n, e)
     objs = enumerate_objects(n, e)
-    nonzero = [(g, g2) for g, g2 in itertools.product(objs, repeat=2) if g != g2 and homs.hom_nonzero(g, g2)]
+    nonzero = [
+        (g, g2)
+        for g, g2 in itertools.product(objs, repeat=2)
+        if g != g2 and homs.hom_nonzero(g, g2) and comp.reflect(comp.id(g2)) > comp.id(g)
+    ]
     return nonzero[len(nonzero) // 2]
 
 
@@ -228,8 +359,8 @@ def test_faithful_table_catches_a_zero_image(monkeypatch):
     original_tree, original = functor.F_of_tree, functor.F_of_morphism
     zeroed = []
 
-    def mutated_tree(F, tree):
-        maps = original_tree(F, tree)
+    def mutated_tree(F, tree, targets):
+        maps = original_tree(F, tree, targets)
         if F is src:
             f = maps[j]
             zeroed.append(f)
@@ -246,17 +377,23 @@ def test_faithful_table_catches_a_zero_image(monkeypatch):
     assert len(zeroed) == 1 and zeroed[0] == original(g, g2)
     assert not check.ok
     assert check.counterexample == {"src": ds_to_json(g), "dst": ds_to_json(g2), "null": True}
+    monkeypatch.undo()
+    assert_mirror_is_exact_dual(g, g2)
     monkeypatch.setattr(functor, "F_of_morphism", mutated)
     assert check.counterexample == _per_pair_table(n, e)
 
 
 def test_faithful_table_catches_a_target_the_tree_misses(monkeypatch):
     # drop the last stage of one source's tree: a leaf, so the rest of
-    # the tree still builds its maps
+    # the tree still builds its maps; the source is one whose last stage
+    # the table checks, not its mirror
     n, e = 4, 2
-    g, _ = _middle_nonzero_pair(n, e)
     comp = homs.component(n, e)
+    g, _ = _middle_nonzero_pair(n, e)
     i = comp.id(g)
+    while not canonical(comp, i, list(homs.bypass_search(comp, i, i, False))[-1]):
+        i += 1
+    g = comp.objects[i]
     original = homs.bypass_search
     missed = []
 
@@ -273,6 +410,8 @@ def test_faithful_table_catches_a_target_the_tree_misses(monkeypatch):
     assert not check.ok
     g2 = comp.objects[missed[0]]
     assert check.counterexample == {"src": ds_to_json(g), "dst": ds_to_json(g2), "reached": False}
+    monkeypatch.undo()
+    assert_mirror_is_exact_dual(g, g2)
 
 
 def test_faithful_table_catches_a_flipped_tight_bit(monkeypatch):

@@ -20,7 +20,7 @@ from diskcontact import cli, suites
 from diskcontact.divset import ds_to_json, enumerate_objects
 
 SRC = Path(diskcontact.__file__).resolve().parent.parent
-HEAVY = {"kom", "functor", "algebra", "gf2"}
+HEAVY = {"kom", "functor", "algebra", "gf2", "reflection"}
 
 _LOADED_AFTER_MAIN = """
 import json, sys

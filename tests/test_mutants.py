@@ -12,6 +12,13 @@ The homs checks that loop over one representative per rotation orbit
 must fail exactly as their loops over every object do (oracle.HOMS_LOOPS)
 under every mutant that keeps the rotation and its equivariance; a
 mutant that breaks the equivariance must fail homs.rotation_equivariant.
+Likewise the faithful pair checks, which visit one pair of each mirrored
+pair, must fail exactly when their loops over every pair do
+(oracle.FAITHFUL_LOOPS) under every mutant that both reflection checks
+pass.
+
+Every suite a mutant touches runs on empty caches, so a pin depends on
+the mutant and the suite alone, not on the suites that ran before it.
 """
 
 import dataclasses
@@ -19,7 +26,7 @@ import dataclasses
 import pytest
 
 import oracle
-from diskcontact import bypass, divset, functor, homs, kom, suites
+from diskcontact import bypass, divset, functor, homs, kom, reflection, suites
 from diskcontact.divset import basic_sets, geometry
 
 ALL_VALID = "divset.enumerated_all_valid"
@@ -41,7 +48,10 @@ PRODUCT = "algebra.multiplication_matches_composition"
 ENDS = "faithful.endomorphisms_one_dimensional"
 REVERSE = "faithful.reverse_bypass_hom_vanishes"
 TABLE = "faithful.hom_table_matches_contact_category"
-FAITHFUL = {ENDS, REVERSE, TABLE}
+REFLECTS_HOMS = "faithful.reflection_reverses_homs"
+DUALIZES = "faithful.reflection_dualizes_images"
+REFLECTION = {REFLECTS_HOMS, DUALIZES}
+FAITHFUL = {ENDS, REVERSE, TABLE} | REFLECTION
 INTO_ROTATION = "serre.hom_into_rotation_nonzero"
 RESOLUTION = "serre.resolution_matches_lemma"
 CALABI_YAU = "serre.calabi_yau_power"
@@ -60,9 +70,8 @@ UNCOVERED = {
     "divset.relative_nesting_partition",
 }
 # what objects that keep another object's matching break beyond the divset suite
-WRONG_MATCHING_USERS = {PRODUCT, SPLITS, COMMUTE, CHAIN_MAPS, SPLIT_LAWS, REVERSE, TABLE}
+WRONG_MATCHING_USERS = {SPLITS, COMMUTE, CHAIN_MAPS, SPLIT_LAWS, REVERSE, TABLE} | REFLECTION
 WRONG_MATCHING_USERS |= {GREEDY, EQUIVARIANT, SERRE, STACK_ORDER, EXACTNESS, ORDER, CALABI_YAU, RESOLUTION}
-WRONG_MATCHING_USERS |= {CLOSURE, COMPOSITIONS, DISJOINT, GAMMA, DISTINGUISHED}
 
 
 def rim_corner_off_by_one(rim):
@@ -201,6 +210,29 @@ def deg_formula_off_in_region_5(deg_formula):
     return mutated
 
 
+def reflection_composed_with_rotation(reflect):
+    def mutated(self, i):
+        m = self.matchings[i]
+        size = len(m)
+        return self.matching_id(tuple((3 - m[(3 - p) % size]) % size for p in range(size)))
+
+    return mutated
+
+
+def reflection_replaced_by_rotation(reflect):
+    def mutated(self, i):
+        return self.rotate(i)
+
+    return mutated
+
+
+def summand_keeps_its_basic_set(reflected_basics):
+    def mutated(n, e):
+        return list(range(len(basic_sets(n, e))))
+
+    return mutated
+
+
 def last_label_never_opens_a_block(partitions):
     def mutated(n, k):
         for m, blocks in partitions(n, k):
@@ -240,14 +272,14 @@ MUTANTS = {
         (divset, "_partitions"),
         last_label_never_opens_a_block,
         {
-            (3, 1): {COUNT, EQUIVARIANT, SERRE, STACK_ORDER, EXACTNESS, TABLE},
-            (4, 2): {COUNT, EQUIVARIANT, SERRE, STACK_ORDER, EXACTNESS, TABLE},
-            (5, 2): {COUNT, EQUIVARIANT, SERRE, STACK_ORDER, EXACTNESS, TABLE},
+            (3, 1): {COUNT, EQUIVARIANT, SERRE, STACK_ORDER, EXACTNESS, TABLE} | REFLECTION,
+            (4, 2): {COUNT, EQUIVARIANT, SERRE, STACK_ORDER, EXACTNESS, TABLE} | REFLECTION,
+            (5, 2): {COUNT, EQUIVARIANT, SERRE, STACK_ORDER, EXACTNESS, TABLE} | REFLECTION,
         },
     ),
     "matching_of_the_previous_partition": (
         "each enumerated object keeps the matching of its own partition",
-        ("divset", "homs", "algebra", "functor", "triangles", "serre", "faithful"),
+        ("divset", "homs", "functor", "serre", "faithful"),
         (divset, "_partitions"),
         matching_of_the_previous_partition,
         {
@@ -278,9 +310,12 @@ MUTANTS = {
         (functor, "index_split"),
         identity_flipped,
         {
-            (3, 1): {CHAIN_MAPS, SPLIT_LAWS, CLOSURE, GAMMA, DISTINGUISHED, DISJOINT, CALABI_YAU, TRANSFORM, TABLE},
-            (4, 2): {CHAIN_MAPS, SPLIT_LAWS, CLOSURE, GAMMA, DISTINGUISHED, DISJOINT, CALABI_YAU, TABLE},
-            (5, 2): {CHAIN_MAPS, SPLIT_LAWS, CLOSURE, GAMMA, DISTINGUISHED, DISJOINT, CALABI_YAU, TABLE},
+            (3, 1): {CHAIN_MAPS, SPLIT_LAWS, CLOSURE, GAMMA, DISTINGUISHED, DISJOINT, CALABI_YAU, TRANSFORM}
+            | {TABLE, DUALIZES},
+            (4, 2): {CHAIN_MAPS, SPLIT_LAWS, CLOSURE, GAMMA, DISTINGUISHED, DISJOINT, CALABI_YAU}
+            | {TABLE, DUALIZES},
+            (5, 2): {CHAIN_MAPS, SPLIT_LAWS, CLOSURE, GAMMA, DISTINGUISHED, DISJOINT, CALABI_YAU}
+            | {TABLE, DUALIZES},
         },
     ),
     "entry_filed_under_another_region": (
@@ -324,12 +359,13 @@ MUTANTS = {
         ("homs", "faithful"),
         (homs.Component, "moves"),
         last_move_dropped,
-        # of the homs checks only the first is sound here; at (5,2) it is
-        # the only check to fail
+        # of the homs checks only the first is sound here, and of the
+        # faithful checks only the reflection checks, which see the dropped
+        # move's reverse without its own
         {
-            (3, 1): {EQUIVARIANT, EXACTNESS},
-            (4, 2): {EQUIVARIANT, STACK_ORDER, EXACTNESS, TABLE},
-            (5, 2): {EQUIVARIANT},
+            (3, 1): {EQUIVARIANT, EXACTNESS} | REFLECTION,
+            (4, 2): {EQUIVARIANT, STACK_ORDER, EXACTNESS} | REFLECTION,
+            (5, 2): {EQUIVARIANT} | REFLECTION,
         },
     ),
     "target_slot_off_by_one": (
@@ -342,9 +378,9 @@ MUTANTS = {
         {
             (3, 1): set(),
             (4, 2): {EQUIVARIANT, STACK_ORDER, EXACTNESS, CHAIN_MAPS, REVERSE, TABLE}
-            | {CLOSURE, COMPOSITIONS, GAMMA, DISTINGUISHED, DISJOINT},
+            | {CLOSURE, COMPOSITIONS, GAMMA, DISTINGUISHED, DISJOINT} | REFLECTION,
             (5, 2): {EQUIVARIANT, STACK_ORDER, EXACTNESS, PRODUCT, CHAIN_MAPS, REVERSE, TABLE}
-            | {CLOSURE, COMPOSITIONS, GAMMA, DISTINGUISHED, DISJOINT},
+            | {CLOSURE, COMPOSITIONS, GAMMA, DISTINGUISHED, DISJOINT} | REFLECTION,
         },
     ),
     "tight_row_transposed": (
@@ -352,16 +388,17 @@ MUTANTS = {
         ("algebra", "functor", "triangles", "serre", "faithful"),
         (homs.Component, "tight_row"),
         tight_row_transposed,
+        # the contact-side reflection check reads hom rows, not tight rows
         {
             (3, 1): {PRESENTATION, PRODUCT, SQUARES, SPLITS, COMMUTE, CHAIN_MAPS}
             | {CLOSURE, GAMMA, DISTINGUISHED, DISJOINT, RESOLUTION, CALABI_YAU, TRANSFORM}
-            | FAITHFUL,
+            | FAITHFUL - {REFLECTS_HOMS},
             (4, 2): {PRESENTATION, PRODUCT, SQUARES, SPLITS, COMMUTE, CHAIN_MAPS}
             | {CLOSURE, GAMMA, DISTINGUISHED, DISJOINT, RESOLUTION, CALABI_YAU}
-            | FAITHFUL,
+            | FAITHFUL - {REFLECTS_HOMS},
             (5, 2): {PRESENTATION, PRODUCT, SQUARES, SPLITS, COMMUTE, CHAIN_MAPS}
             | {CLOSURE, GAMMA, DISTINGUISHED, DISJOINT, RESOLUTION, CALABI_YAU}
-            | FAITHFUL,
+            | FAITHFUL - {REFLECTS_HOMS},
         },
     ),
     "rotation_reversed": (
@@ -374,6 +411,29 @@ MUTANTS = {
             (4, 2): {SERRE} | ROTATION,
             (5, 2): {SERRE} | ROTATION,
         },
+    ),
+    "reflection_composed_with_rotation": (
+        "the reflection keeps arc 0 in place: s -> -s, not s -> 1 - s",
+        ("faithful",),
+        (homs.Component, "reflect"),
+        reflection_composed_with_rotation,
+        # σr is an involution that reverses homs and bypasses too, so only
+        # the strict comparison of the F-images sees it
+        {(3, 1): {DUALIZES}, (4, 2): {DUALIZES}, (5, 2): {DUALIZES}},
+    ),
+    "reflection_replaced_by_rotation": (
+        "the reflection is an involution that reverses every hom and every bypass",
+        ("faithful",),
+        (homs.Component, "reflect"),
+        reflection_replaced_by_rotation,
+        {(3, 1): REFLECTION, (4, 2): REFLECTION, (5, 2): REFLECTION},
+    ),
+    "summand_keeps_its_basic_set": (
+        "the summand bijection takes P_b to P_rb, the based labels s becoming -s",
+        ("faithful",),
+        (reflection, "reflected_basics"),
+        summand_keeps_its_basic_set,
+        {(3, 1): {DUALIZES}, (4, 2): {DUALIZES}, (5, 2): {DUALIZES}},
     ),
     "null_only_when_zero": (
         "a cocycle is nullhomotopic iff its transfer lies in the image of d' on the E1 page",
@@ -438,18 +498,25 @@ def clear_caches():
 def test_mutant_fails_exactly_its_checks(name, monkeypatch):
     fact, touched, (owner, attr), mutate, want = MUTANTS[name]
     monkeypatch.setattr(owner, attr, mutate(getattr(owner, attr)))
-    clear_caches()
     try:
         got, loops = {}, {}
         for n, e in want:
             got[n, e] = set()
             for suite in touched:
+                clear_caches()  # so that a pin depends on the mutant and the suite alone
                 (report,) = suites.run_suite(suite, n, e)
-                got[n, e] |= {c.check_id for c in report.checks if not c.ok}
+                failed = {c.check_id for c in report.checks if not c.ok}
+                got[n, e] |= failed
                 if suite == "homs" and name not in LOOPS_MAY_DIFFER:
                     reduced = {c.check_id: c.counterexample for c in report.checks}
                     for check_id, loop in oracle.HOMS_LOOPS.items():
                         loops[n, e, check_id] = (reduced[check_id], loop(n, e))
+                if suite == "faithful" and not failed & REFLECTION:
+                    # the pair checks visit one pair of each mirrored pair,
+                    # and fail exactly when their loops over every pair do
+                    clear_caches()
+                    for check_id, loop in oracle.FAITHFUL_LOOPS.items():
+                        loops[n, e, check_id] = (check_id in failed, loop(n, e) is not None)
     finally:
         clear_caches()
     assert got == want, fact
