@@ -13,14 +13,13 @@ from dataclasses import dataclass
 
 from .divset import DividingSet, basic_index, basic_of, basic_sets
 from .errors import ComponentMismatch, NotBasic
-from .homs import component
+from .homs import _check_same_component, component
 
 
 def _tight(g: DividingSet, g2: DividingSet) -> bool:
     """homs.tight_basic(g, g2) for basic g, g2, read from the component's
     tight rows."""
-    if (g.n, g.e) != (g2.n, g2.e):
-        raise ComponentMismatch(f"({g.n},{g.e}) vs ({g2.n},{g2.e})")
+    _check_same_component(g, g2)
     return bool(component(g.n, g.e).tight_row(basic_index(g)) >> basic_index(g2) & 1)
 
 

@@ -20,20 +20,23 @@ the chord count).  The attachment replaces those three chords by
 where "left" endpoints are the ones adjacent to the left side of the arc.
 The induced triangle continues with the move (p, q, wall) on the result.
 
-`BypassMove.chords` is the one reading of (x, y, z) as chords, and
-`divset.chord_slots` the one reading of chords as slots.  `find_moves`
-builds every move straight from slots, so it validates none;
-`validate_move` checks moves from outside, in `Component.move_id` on a
-move it has not seen and at the CLI.  Moves, their targets and
-triangles are kept by the component index (homs.Component): each
-object's moves are enumerated once, and `enumerate_bypasses`, `attach`,
-`triangle`, `serre_rotate` and `commuting_squares` return the
-component's interned moves and objects.
+One walk over a matching's faces (`_configurations`) yields the
+(entry, exit, target) chords of every nontrivial bypass:
+`target_matchings` re-pairs their endpoints, and `find_moves` reads them
+through `divset.chord_slots` as `move_from_chords` does, with no face
+geometry and no validation.  `BypassMove.chords` is the one reading of
+(x, y, z) as chords; `validate_move` checks moves from outside, in
+`Component.move_id` on a move it has not seen and at the CLI.
+
+Moves, their targets and triangles are kept by the component index
+(homs.Component): each object's moves are enumerated once, and
+`enumerate_bypasses`, `attach`, `triangle`, `serre_rotate` and
+`commuting_squares` return the component's interned moves and objects.
 A target is the source's matching with the endpoints of those three
 chords re-paired (`surgery`), and a rotation moves every point p to p-2
 (`serre_rotate`, which reads `Component.rotate`); both are looked up by
-matching.  `commuting_squares` finds a transported
-arc by its chords in the target's move table.
+matching.  `commuting_squares` finds a transported arc by its chords in
+the target's move table.
 
 Library entry points here trust their DividingSet arguments: they do not
 run divset.validate, and an invalid dividing set gives an undefined
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .divset import (
     STAR,
@@ -54,6 +58,7 @@ from .divset import (
     chord_slots,
     Matching,
     geometry,
+    to_matching,
 )
 from .errors import ComponentMismatch, InvalidMove, IsBasic
 from .homs import Component, component
@@ -129,7 +134,13 @@ def move_from_chords(
     It is not validated: Component.move_id validates a move it has not
     seen, so a caller that looks the move up checks it once.
     """
-    slots = chord_slots(ds)
+    return _read_move(ds, chord_slots(ds), entry, exit, target)
+
+
+def _read_move(ds: DividingSet, slots: dict, entry, exit, target) -> BypassMove:
+    """The move of the oriented chords through their `chord_slots`: y is
+    the exit's slot, x = a + 1 for the entry's slot a, and z = c + 1 for
+    the target's slot c."""
     uv, a = slots[chord_key(entry)]
     exit_uv, y = slots[chord_key(exit)]
     if exit_uv != uv:
@@ -151,30 +162,10 @@ def _surgery(entry, exit, target) -> tuple[tuple[int, int], tuple[int, int], tup
 def find_moves(ds: DividingSet) -> list[BypassMove]:
     """Every nontrivial bypass move on ds, deterministically ordered; the
     component index keeps them, and callers read enumerate_bypasses.
-
-    Configurations: pick a negative region, an ordered pair of distinct
-    chords on it (exit from uv, target on ov), and any other chord of uv
-    as the entry.  Distinct chords of one negative region always bound
-    distinct positive components, so uv != ov automatically.  Each move
-    is built from the chords' slots: y is the exit's slot, z the target's
-    slot + 1, and x = a + 1 for the entry's slot a.  Distinct
-    configurations give distinct moves, all valid, so none is checked.
-    `target_matchings` enumerates the same configurations on the
-    matching; a change to either must be made to both.
-    """
+    Distinct configurations of ds's matching give distinct moves, all
+    valid, so none is checked."""
     slots = chord_slots(ds)
-    moves = []
-    for region in geometry(ds).neg_regions:
-        cs = region.chords
-        for c2 in cs:
-            uv, y = slots[c2]
-            k = ds.l(uv) + 1
-            xs = [(a + 1) % k for a in range(k) if a != y]
-            for c3 in cs:
-                if c3 != c2:
-                    ov, c = slots[c3]
-                    z = (c + 1) % (ds.l(ov) + 1)
-                    moves.extend(BypassMove(ds, uv, ov, x, y, z) for x in xs)
+    moves = [_read_move(ds, slots, *chords) for chords in _configurations(to_matching(ds))]
     return sorted(moves, key=lambda b: (b.uv, b.ov, b.x, b.y, b.z))
 
 
@@ -191,22 +182,19 @@ def _repaired(m: Matching, entry, exit, target) -> Matching:
     return tuple(out)
 
 
-def target_matchings(m: Matching) -> list[Matching]:
-    """The target matching of every nontrivial bypass on the crossingless
-    matching m: as a multiset, the surgery targets of find_moves on the
-    dividing set of m, read off m's faces without decoding it.
+def _configurations(m: Matching) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The oriented (entry, exit, target) chords of every nontrivial bypass
+    on the crossingless matching m, read off m's faces.
 
     A negative face is a cycle of even points q -> m[q]+1, and the
     positive face of an odd point p the cycle p -> m[p]+1; a chord is
     named by its odd endpoint p and oriented (p, m[p]), as
-    `BypassMove.chords` orients it.  As in find_moves, a move takes an
-    ordered pair of distinct chords (exit b, target c) of one negative
-    face and any other chord a of b's positive face as the entry.  The
-    two must enumerate the same configurations; a change to either must
-    be made to both (tests/test_bypass.py compares them for n <= 6).
+    `BypassMove.chords` orients it.  A move takes an ordered pair of
+    distinct chords (exit b, target c) of one negative face and any other
+    chord a of b's positive face as the entry.  Distinct chords of one
+    negative face bound distinct positive components, so uv != ov.
     """
     size = len(m)
-    out = []
     seen = [False] * size
     for q in range(0, size, 2):
         face = []
@@ -224,8 +212,16 @@ def target_matchings(m: Matching) -> list[Matching]:
             for c in face:
                 if c != b:
                     target = (c, m[c])
-                    out.extend(_repaired(m, entry, exit, target) for entry in entries)
-    return out
+                    for entry in entries:
+                        yield entry, exit, target
+
+
+def target_matchings(m: Matching) -> list[Matching]:
+    """The target matching of every nontrivial bypass on the crossingless
+    matching m, without decoding it: the surgery of each of its
+    configurations, so as a multiset the targets of find_moves on the
+    dividing set of m."""
+    return [_repaired(m, *chords) for chords in _configurations(m)]
 
 
 def _move_id(ds: DividingSet, move: BypassMove) -> tuple[Component, int]:

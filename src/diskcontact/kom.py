@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Optional
 from . import gf2
 from .divset import DividingSet, basic_index, ds_from_json, ds_to_json, int_from_json, list_from_json
 from .errors import ComponentMismatch, NotBasic, ShapeMismatch
-from .homs import Component, component, tight_basic
+from .homs import Component, _bits, component, tight_basic
 
 Entries = frozenset  # of (i, j) index pairs
 
@@ -353,13 +353,6 @@ def equivalent(a: Complex, b: Complex) -> bool:
 # homological perturbation lemma (Crainic, arXiv:math/0403266) moves
 # delta onto the sum of the cohomologies, the E1 page.  A vector of
 # Hom(C, D) is kept as one mask over C's summand indices per column.
-
-
-def _bits(m: int) -> Iterator[int]:
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1
-        m ^= low
 
 
 def _apply(table: list[int], m: int) -> int:

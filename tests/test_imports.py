@@ -1,5 +1,6 @@
-"""Each CLI subcommand loads only the layers it calls, and the package's
-lazy exports resolve to the objects their modules define.
+"""Each CLI subcommand loads only the layers it calls, a homs run builds
+no face geometry, and the package's lazy exports resolve to the objects
+their modules define.
 
 The import checks run `cli.main` in a fresh interpreter without bytecode
 caching, as a command-line run is, and read which `diskcontact.*`
@@ -63,6 +64,29 @@ def test_homs_suite_skips_the_complex_layers():
     loaded = loaded_after("verify", "--suite", "homs", "--n", "4", "--e", "2")
     assert {"suites", "homs", "bypass"} <= loaded
     assert not loaded & HEAVY
+
+
+_HOMS_WITHOUT_FACES = """
+from diskcontact import divset, suites
+
+def refuse(ds):
+    raise AssertionError(f"face geometry built for {ds}")
+
+divset._faces = refuse
+(report,) = suites.run_suite("homs", 5, 2)
+assert report.ok, report.to_json()
+"""
+
+
+def test_homs_suite_builds_no_face_geometry():
+    # moves and bypass targets are read off the matchings, so no object of
+    # a homs run asks for divset.geometry; a fresh interpreter holds no
+    # object that kept a geometry from an earlier test
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", _HOMS_WITHOUT_FACES], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("name", diskcontact.__all__)
