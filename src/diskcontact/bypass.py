@@ -20,13 +20,17 @@ the chord count).  The attachment replaces those three chords by
 where "left" endpoints are the ones adjacent to the left side of the arc.
 The induced triangle continues with the move (p, q, wall) on the result.
 
-One walk over a matching's faces (`_configurations`) yields the
-(entry, exit, target) chords of every nontrivial bypass:
-`target_matchings` re-pairs their endpoints, and `find_moves` reads them
-through `divset.chord_slots` as `move_from_chords` does, with no face
-geometry and no validation.  `BypassMove.chords` is the one reading of
-(x, y, z) as chords; `validate_move` checks moves from outside, in
-`Component.move_id` on a move it has not seen and at the CLI.
+Every face fact here is read off the matching: a negative face is a
+cycle of the walk `divset.negative_faces` (one face,
+`divset._negative_face`), and nothing about faces is kept.  Over that
+walk `_configurations` yields the (entry, exit, target) chords of every
+nontrivial bypass: `target_matchings` re-pairs their endpoints, and
+`find_moves` reads them through `divset.chord_slots` as
+`move_from_chords` does, with no validation.  `BypassMove.chords` is the
+one reading of (x, y, z) as chords; `validate_move` checks moves from
+outside, in `Component.move_id` on a move it has not seen and at the
+CLI, by walking the one negative face through the exit chord.
+`canonical_bypass` and `commuting_squares` walk one face each too.
 
 Moves, their targets and triangles are kept by the component index
 (homs.Component): each object's moves are enumerated once, and
@@ -51,13 +55,13 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .divset import (
-    STAR,
     DividingSet,
     NestVector,
+    _negative_face,
     chord_key,
     chord_slots,
     Matching,
-    geometry,
+    negative_faces,
     to_matching,
 )
 from .errors import ComponentMismatch, InvalidMove, IsBasic
@@ -118,8 +122,8 @@ def validate_move(move: BypassMove) -> None:
     if (move.x - 1) % (ds.l(move.uv) + 1) == move.y:
         raise InvalidMove("entry and exit chords coincide")
     _, exit, target = move.chords
-    neg_of_chord = geometry(ds).neg_of_chord
-    if neg_of_chord[chord_key(exit)] != neg_of_chord[chord_key(target)]:
+    # each chord is oriented (odd, even), and its even end names its negative face
+    if target[1] not in _negative_face(to_matching(ds), exit[1]):
         raise InvalidMove("exit and target chords do not bound a common negative region")
 
 
@@ -186,32 +190,27 @@ def _configurations(m: Matching) -> Iterator[tuple[tuple[int, int], ...]]:
     """The oriented (entry, exit, target) chords of every nontrivial bypass
     on the crossingless matching m, read off m's faces.
 
-    A negative face is a cycle of even points q -> m[q]+1, and the
-    positive face of an odd point p the cycle p -> m[p]+1; a chord is
-    named by its odd endpoint p and oriented (p, m[p]), as
-    `BypassMove.chords` orients it.  A move takes an ordered pair of
-    distinct chords (exit b, target c) of one negative face and any other
-    chord a of b's positive face as the entry.  Distinct chords of one
-    negative face bound distinct positive components, so uv != ov.
+    A negative face is a cycle of even points q -> m[q]+1
+    (`divset.negative_faces`), and the positive face of an odd point p
+    the cycle p -> m[p]+1; a chord is named by its odd endpoint p and
+    oriented (p, m[p]), as `BypassMove.chords` orients it.  A move takes
+    an ordered pair of distinct chords (exit, target) of one negative face
+    and any other chord a of the exit's positive face as the entry.
+    Distinct chords of one negative face bound distinct positive
+    components, so uv != ov.
     """
-    size = len(m)
-    seen = [False] * size
-    for q in range(0, size, 2):
-        face = []
-        while not seen[q]:
-            seen[q] = True
-            face.append(m[q])
-            q = (m[q] + 1) % size
-        for b in face:
+    for face in negative_faces(m):
+        for q in face:
+            b = m[q]
             entries = []
-            a = m[b] + 1
+            a = q + 1
             while a != b:
                 entries.append((a, m[a]))
                 a = m[a] + 1
-            exit = (b, m[b])
-            for c in face:
-                if c != b:
-                    target = (c, m[c])
+            exit = (b, q)
+            for r in face:
+                if r != q:
+                    target = (m[r], r)
                     for entry in entries:
                         yield entry, exit, target
 
@@ -298,11 +297,12 @@ def canonical_bypass(ds: DividingSet) -> BypassMove:
     if ds.is_basic():
         raise IsBasic("dividing set is basic")
     uv = (min(v[0] for v in ds.vnb if len(v) == 1),)
-    geo = geometry(ds)
     chords = ds.chords(uv)
-    region = geo.neg_regions[geo.neg_of_chord[chord_key(chords[-1])]]
-    (star_chord,) = [c for c in region.chords if geo.comp_of_chord[c] == STAR]
-    return move_from_chords(ds, chords[0], chords[-1], star_chord)
+    m = to_matching(ds)
+    # on the negative face through the even end of uv's outer chord, the
+    # chord (m[q], q) of the based component: q/2 is one of its labels
+    (q,) = [q for q in _negative_face(m, chords[-1][1]) if q // 2 in ds.star]
+    return move_from_chords(ds, chords[0], chords[-1], (m[q], q))
 
 
 def obar(ds: DividingSet) -> tuple[DividingSet, BypassMove]:
@@ -359,8 +359,9 @@ def _move_code(move: BypassMove) -> int:
 def _arc(comp: Component, m: int):
     """What a pair of arcs needs of move m, computed once per pair: its
     chord triple, its crossings in the two faces it passes through (keyed
-    by face), the pieces its surgery cuts its three chords into, and its
-    target's id.
+    by face: uv's by uv, the negative face's by its smallest even point),
+    the pieces its surgery cuts its three chords into, and its target's
+    id.
 
     A crossing is (the point where the face's walk enters the chord,
     walked min->max, chord key).  A face's walk meets its chords in the
@@ -376,7 +377,7 @@ def _arc(comp: Component, m: int):
     # left corner endpoint of each cut chord, and the new chords its left
     # and right pieces join
     pieces = {c1: (entry[1], wall, q), c2: (exit[0], wall, p), c3: (target[1], q, p)}
-    neg = geometry(move.source).neg_of_chord[c2]
+    neg = min(_negative_face(to_matching(move.source), exit[1]))
     faces = {
         ("pos", move.uv): ((entry[0], entry[0] < entry[1], c1), (exit[0], exit[0] < exit[1], c2)),
         ("neg", neg): ((exit[1], exit[1] < exit[0], c2), (target[1], target[1] < target[0], c3)),
@@ -431,8 +432,10 @@ class Square:
 def commuting_squares(a: BypassMove, b: BypassMove) -> list[Square]:
     """All disjoint configurations of the two arcs.
 
-    Each arc's geometry is computed once for the pair, and a transported
-    arc is found in the move table of the other arc's target.
+    Each arc's chords, face crossings and surgery pieces are read once
+    for the pair, the negative face's by walking that one face on the
+    matching, and a transported arc is found in the move table of the
+    other arc's target.
     """
     if a.source != b.source:
         raise ComponentMismatch("moves on different dividing sets")

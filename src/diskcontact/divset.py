@@ -25,8 +25,9 @@ Conventions, fixed once and used by every other module:
   key used to match chords across the two faces they separate.
 
 The tree form (`DividingSet`) drives the algebra; the matching form, m[p]
-the point paired with p, drives curve counts, and bypass surgery and
-rotation edit a few of its entries.  `to_matching` encodes a tree.  One
+the point paired with p, drives curve counts and the walk of the
+negative faces, and bypass surgery and rotation edit a few of its
+entries.  `to_matching` encodes a tree.  One
 stack scan over the labels at which the blocks of a noncrossing
 partition open (`_nesting_tree`) builds every tree: `from_matching`
 decodes a matching's positive faces with it, and `enumerate_objects`
@@ -67,11 +68,12 @@ class DividingSet:
         return DividingSet(n, e, items)
 
     # The label map, the chords, the matching, the non-based and
-    # non-boundary-parallel vectors, the basic index and the geometry are
-    # facts of the dividing set alone, so each is computed once per
-    # instance and kept in its __dict__, as the hash is.  The component
-    # index hands out one interned instance per object, so these are not
-    # computed twice.
+    # non-boundary-parallel vectors and the basic index are facts of the
+    # dividing set alone, so each is computed once per instance and kept
+    # in its __dict__, as the hash is.  The component index hands out one
+    # interned instance per object, so these are not computed twice.  The
+    # negative faces are not kept: they are walked on the matching
+    # (`negative_faces`) by each caller.
 
     def labels(self, v: NestVector) -> tuple[int, ...]:
         table = self.__dict__.get("_labels")
@@ -251,6 +253,37 @@ def positive_faces(m: Matching) -> list[frozenset[int]]:
             t = m[2 * t + 1] // 2
         out.append(frozenset(cyc))
     return out
+
+
+def negative_faces(m: Matching) -> list[list[int]]:
+    """Components of the negative region, each as the even points q at
+    which its boundary walk leaves along the chord (q, m(q)), in walk
+    order (q -> m(q)+1).  Listed, and each walked, from the first of the
+    even points 2, 4, ..., 2n, 0 it holds, so a face's index is fixed by
+    m alone."""
+    size = len(m)
+    seen = [False] * size
+    out = []
+    for q in range(2, size + 2, 2):
+        q %= size
+        if not seen[q]:
+            face = _negative_face(m, q)
+            for p in face:
+                seen[p] = True
+            out.append(face)
+    return out
+
+
+def _negative_face(m: Matching, q: int) -> list[int]:
+    """The even points of the negative face through the even point q, in
+    walk order from q."""
+    size = len(m)
+    face = [q]
+    p = (m[q] + 1) % size
+    while p != q:
+        face.append(p)
+        p = (m[p] + 1) % size
+    return face
 
 
 def to_matching(ds: DividingSet) -> Matching:
@@ -477,7 +510,7 @@ def nesting_sets(
 
 
 # ---------------------------------------------------------------------------
-# geometry: faces of the chord diagram, shared by bypass and hom machinery
+# chords: keys and walk slots, shared by bypass and functor
 
 
 def chord_key(c: tuple[int, int]) -> tuple[int, int]:
@@ -489,72 +522,6 @@ def chord_slots(ds: DividingSet) -> dict[tuple[int, int], tuple[NestVector, int]
     its slot j in v's walk, so the chord is v's chord[j].  Built per
     call, not kept."""
     return {chord_key(c): (v, j) for v, _ in ds.components for j, c in enumerate(ds.chords(v))}
-
-
-@dataclass(frozen=True)
-class NegRegion:
-    """A negative-region face: its cyclic walk of (arc index, chord key).
-
-    Entry (t, c) means the walk traverses the negative boundary arc
-    (2t+1, 2t+2) and then leaves along chord c.  Chord order around the
-    region is the order of this tuple.
-    """
-
-    index: int
-    walk: tuple[tuple[int, tuple[int, int]], ...]
-
-    @property
-    def chords(self) -> tuple[tuple[int, int], ...]:
-        return tuple(c for _, c in self.walk)
-
-
-@dataclass(frozen=True)
-class Geometry:
-    """The chord diagram's face structure, kept once per instance."""
-
-    ds: DividingSet
-    comp_of_chord: Mapping[tuple[int, int], NestVector]
-    neg_regions: tuple[NegRegion, ...]
-    neg_of_chord: Mapping[tuple[int, int], int]
-
-    def adjacent(self, v: NestVector, w: NestVector) -> bool:
-        """Do two positive components share a negative region?"""
-        rv = {self.neg_of_chord[chord_key(c)] for c in self.ds.chords(v)}
-        rw = {self.neg_of_chord[chord_key(c)] for c in self.ds.chords(w)}
-        return bool(rv & rw)
-
-
-def geometry(ds: DividingSet) -> Geometry:
-    geo = ds.__dict__.get("_geometry")
-    if geo is None:
-        geo = ds.__dict__["_geometry"] = _faces(ds)
-    return geo
-
-
-def _faces(ds: DividingSet) -> Geometry:
-    m = to_matching(ds)
-    comp_of_chord = {c: v for c, (v, _) in chord_slots(ds).items()}
-
-    size = len(m)
-    seen = [False] * (size // 2)
-    regions: list[NegRegion] = []
-    neg_of_chord: dict[tuple[int, int], int] = {}
-    for start in range(size // 2):
-        if seen[start]:
-            continue
-        walk = []
-        t = start
-        while not seen[t]:
-            seen[t] = True
-            p = (2 * t + 2) % size
-            c = chord_key((p, m[p]))
-            walk.append((t, c))
-            t = (m[p] - 1) // 2
-        region = NegRegion(len(regions), tuple(walk))
-        for _, c in walk:
-            neg_of_chord[c] = region.index
-        regions.append(region)
-    return Geometry(ds, comp_of_chord, tuple(regions), neg_of_chord)
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,14 @@ from .divset import (
     STAR,
     DividingSet,
     NestVector,
+    _negative_face,
     basic_index,
     basic_of,
     chord_key,
-    geometry,
+    chord_slots,
+    negative_faces,
     nesting_sets,
+    to_matching,
 )
 from .errors import InvalidMove
 # tight_basic stays bound here for bench/test_bench.py, which asserts the tracer rebinds it
@@ -138,16 +141,17 @@ def _rim(ds: DividingSet, region_index: int) -> Optional[list[tuple[int, int]]]:
     component is on its rim too: the condition that some rim component is
     not boundary-parallel needs no test here.
 
-    The component comes from the kept geometry and the place from its
-    kept walk, so nothing is built for the whole object per region."""
-    geo = geometry(ds)
+    The region is face `region_index` of `divset.negative_faces`, walked
+    on the matching, and each chord's component and place come from
+    `divset.chord_slots`."""
+    m, slots = to_matching(ds), chord_slots(ds)
     col = {v: c for c, v in enumerate(ds.tpv)}
     rim = []
-    for ch in geo.neg_regions[region_index].chords:
-        v = geo.comp_of_chord[ch]
+    for q in negative_faces(m)[region_index]:
+        v, j = slots[chord_key((q, m[q]))]
         if v == STAR:
             return None
-        rim.append((col[v], [chord_key(c) for c in ds.chords(v)].index(ch)))
+        rim.append((col[v], j))
     return rim
 
 
@@ -178,7 +182,11 @@ def negative_region_differential(ds: DividingSet, region_index: int) -> frozense
 def left_shuffling_vectors(move: BypassMove) -> tuple[NestVector, ...]:
     """Components strung along the left of the arc between uv and ov."""
     ds = move.source
-    geo = geometry(ds)
+    m = to_matching(ds)
+    # The even points of the negative faces on uv's rim and on ov's: a
+    # chord (2s'+1, 2s) of w ends at 2s for each label s of w, so w shares
+    # a negative face with v when one of those points is on v's.
+    rims = [{q for c in ds.chords(v) for q in _negative_face(m, c[1])} for v in (move.uv, move.ov)]
     a = ds.label_at(move.uv, move.y)
     b = ds.label_at(move.ov, move.z)
     n1 = ds.n + 1
@@ -192,7 +200,7 @@ def left_shuffling_vectors(move: BypassMove) -> tuple[NestVector, ...]:
             continue
         if not set(ds.labels(w)) <= window:
             continue
-        if geo.adjacent(w, move.uv) and geo.adjacent(w, move.ov):
+        if all(any(2 * s in rim for s in ds.labels(w)) for rim in rims):
             out.append(w)
     return tuple(sorted(out))
 

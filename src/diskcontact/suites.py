@@ -28,8 +28,8 @@ from .divset import (
     ds_to_json,
     enumerate_objects,
     from_matching,
-    geometry,
     is_crossingless_matching,
+    negative_faces,
     nesting_sets,
     positive_faces,
     to_matching,
@@ -306,18 +306,17 @@ def suite_functor(n: int, e: int) -> SuiteReport:
     def region_split():
         for g in objs:
             total: set = set()
-            for reg in geometry(g).neg_regions:
-                total ^= functor.negative_region_differential(g, reg.index)
+            for r in range(len(negative_faces(to_matching(g)))):
+                total ^= functor.negative_region_differential(g, r)
             if total != set(functor.build_F(g).d):
                 return {"ds": ds_to_json(g)}
 
     def partials_commute():
         for g in objs:
             F = functor.build_F(g)
-            regions = geometry(g).neg_regions
             parts = [
-                kom.ChainMap(F, F, 1, functor.negative_region_differential(g, reg.index))
-                for reg in regions
+                kom.ChainMap(F, F, 1, functor.negative_region_differential(g, r))
+                for r in range(len(negative_faces(to_matching(g))))
             ]
             for p in parts:
                 if kom.compose(p, p).entries:
@@ -597,6 +596,9 @@ def suite_faithful(n: int, e: int) -> SuiteReport:
             out = comp.hom_out(i)
             kept = [j for j in ids if ref[j] >= i]
             tree = homs.bypass_search(comp, i, i, False)
+            outside = homs._mask(tree) & ~out
+            if outside:  # a stage of the tree with Hom(i, X) = 0: the tree leaves T(i)
+                return {"src": js(i), "dst": js(outside.bit_length() - 1), "in_tree": True}
             maps = functor.F_of_tree(F, tree, [j for j in kept if out >> j & 1])
             for j in kept:
                 want = out >> j & 1

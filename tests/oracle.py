@@ -7,6 +7,14 @@ D for a homotopy between two maps.  The library answers every hom
 dimension and nullhomotopy question from per-source column retracts
 instead; the tests compare the two.
 
+`geometry(ds)` is the face structure of a dividing set built by walking
+its negative arcs (`_faces`): each negative region's cyclic walk of
+(arc, chord key), the region of each chord and the positive component
+of each chord, kept on the instance.  The library walks the negative
+faces on the matching instead (`divset.negative_faces`), keeps nothing,
+and reads a chord's component from `divset.chord_slots`.  The
+references below that need faces read this geometry.
+
 `find_moves` builds every bypass move from its chords through
 `bypass.move_from_chords`, validates each and drops repeats; the library
 builds them straight from the chords' walk slots and validates none.
@@ -59,12 +67,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from diskcontact import bypass, divset, functor, gf2, homs, kom
 from diskcontact.bypass import BypassMove, attach
-from diskcontact.divset import STAR, DividingSet, Matching, NestVector, basic_of, chord_key, ds_to_json, geometry
-from diskcontact.divset import from_matching, nesting_sets, positive_faces
+from diskcontact.divset import STAR, DividingSet, Matching, NestVector, basic_of, chord_key, chord_slots
+from diskcontact.divset import ds_to_json, from_matching, nesting_sets, positive_faces, to_matching
 from diskcontact.errors import EulerMismatch, ShapeMismatch
 from diskcontact.suites import _move_json, _not_exact
 
@@ -186,6 +194,76 @@ def find_homotopy(f: kom.ChainMap, g: kom.ChainMap) -> Optional[Homotopy]:
 def is_nullhomotopic(f: kom.ChainMap) -> bool:
     """Is f = D(h) for some h of degree f.k - 1?"""
     return find_homotopy(f, kom.zero_map(f.src, f.dst, f.k)) is not None
+
+
+# ---------------------------------------------------------------------------
+# the face geometry of a dividing set, kept once per instance
+
+
+@dataclass(frozen=True)
+class NegRegion:
+    """A negative-region face: its cyclic walk of (arc index, chord key).
+
+    Entry (t, c) means the walk traverses the negative boundary arc
+    (2t+1, 2t+2) and then leaves along chord c.  Chord order around the
+    region is the order of this tuple.
+    """
+
+    index: int
+    walk: tuple[tuple[int, tuple[int, int]], ...]
+
+    @property
+    def chords(self) -> tuple[tuple[int, int], ...]:
+        return tuple(c for _, c in self.walk)
+
+
+@dataclass(frozen=True)
+class Geometry:
+    """The chord diagram's face structure, kept once per instance."""
+
+    ds: DividingSet
+    comp_of_chord: Mapping[tuple[int, int], NestVector]
+    neg_regions: tuple[NegRegion, ...]
+    neg_of_chord: Mapping[tuple[int, int], int]
+
+    def adjacent(self, v: NestVector, w: NestVector) -> bool:
+        """Do two positive components share a negative region?"""
+        rv = {self.neg_of_chord[chord_key(c)] for c in self.ds.chords(v)}
+        rw = {self.neg_of_chord[chord_key(c)] for c in self.ds.chords(w)}
+        return bool(rv & rw)
+
+
+def geometry(ds: DividingSet) -> Geometry:
+    geo = ds.__dict__.get("_geometry")
+    if geo is None:
+        geo = ds.__dict__["_geometry"] = _faces(ds)
+    return geo
+
+
+def _faces(ds: DividingSet) -> Geometry:
+    m = to_matching(ds)
+    comp_of_chord = {c: v for c, (v, _) in chord_slots(ds).items()}
+
+    size = len(m)
+    seen = [False] * (size // 2)
+    regions: list[NegRegion] = []
+    neg_of_chord: dict[tuple[int, int], int] = {}
+    for start in range(size // 2):
+        if seen[start]:
+            continue
+        walk = []
+        t = start
+        while not seen[t]:
+            seen[t] = True
+            p = (2 * t + 2) % size
+            c = chord_key((p, m[p]))
+            walk.append((t, c))
+            t = (m[p] - 1) // 2
+        region = NegRegion(len(regions), tuple(walk))
+        for _, c in walk:
+            neg_of_chord[c] = region.index
+        regions.append(region)
+    return Geometry(ds, comp_of_chord, tuple(regions), neg_of_chord)
 
 
 def find_moves(ds: DividingSet) -> list[BypassMove]:
@@ -603,6 +681,9 @@ def full_table(n: int, e: int) -> Optional[dict]:
         retracts = kom.column_retracts(F)
         out = comp.hom_out(i)
         tree = homs.bypass_search(comp, i, i, False)
+        outside = homs._mask(tree) & ~out
+        if outside:
+            return {"src": ds_to_json(g), "dst": ds_to_json(comp.objects[outside.bit_length() - 1]), "in_tree": True}
         maps = functor.F_of_tree(F, tree, tree)
         for g2, j, F2 in row:
             want = out >> j & 1

@@ -21,10 +21,12 @@ from diskcontact.bypass import (
 from diskcontact.divset import (
     STAR,
     DividingSet,
+    _negative_face,
     basic_of,
     chord_key,
     enumerate_objects,
-    geometry,
+    negative_faces,
+    to_matching,
     validate,
 )
 from diskcontact.errors import ComponentMismatch, InvalidMove, IsBasic
@@ -108,6 +110,32 @@ def test_find_moves_matches_the_validating_oracle(n, e):
         assert moves == oracle.find_moves(g)
         for mv in moves:
             validate_move(mv)
+
+
+@pytest.mark.parametrize("n,e", pairs_up_to(7))
+def test_negative_faces_are_the_reference_faces_and_validate_exactly_the_moves(n, e):
+    # the walk on the matching lists the faces of the per-object geometry,
+    # in its order and cyclic chord order; the face through any of its
+    # points is that face, walked from there; and validate_move accepts
+    # every (uv, ov, x, y, z) the oracle builds and no other
+    for g in enumerate_objects(n, e):
+        m = to_matching(g)
+        faces = negative_faces(m)
+        reference = oracle._faces(g).neg_regions
+        assert [[chord_key((q, m[q])) for q in f] for f in faces] == [list(r.chords) for r in reference]
+        for f in faces:
+            for k, q in enumerate(f):
+                assert _negative_face(m, q) == f[k:] + f[:k]
+        accepted = set()
+        for (uv, u_labels), (ov, o_labels) in itertools.permutations(g.components, 2):
+            for x, y, z in itertools.product(range(len(u_labels)), range(len(u_labels)), range(len(o_labels))):
+                move = BypassMove(g, uv, ov, x, y, z)
+                try:
+                    validate_move(move)
+                except InvalidMove:
+                    continue
+                accepted.add(move)
+        assert accepted == set(oracle.find_moves(g))
 
 
 @pytest.mark.parametrize("n,e", pairs_up_to(4))
@@ -280,7 +308,7 @@ def _ref_triple(move):
 
 
 def _ref_segments(move):
-    geo = geometry(move.source)
+    geo = oracle.geometry(move.source)
     c1, c2, c3 = _ref_triple(move)
     return [(("pos", move.uv), c1, c2), (("neg", geo.neg_of_chord[c2]), c2, c3)]
 
@@ -290,7 +318,7 @@ def _ref_face_slots(ds, face):
     if kind == "pos":
         return [(chord_key(c), c[0] < c[1]) for c in ds.chords(which)]
     size = 2 * ds.n + 2
-    return [(c, (2 * t + 2) % size == c[0]) for t, c in geometry(ds).neg_regions[which].walk]
+    return [(c, (2 * t + 2) % size == c[0]) for t, c in oracle.geometry(ds).neg_regions[which].walk]
 
 
 def _ref_no_crossing(a, b, order):

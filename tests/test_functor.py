@@ -4,7 +4,7 @@ import pytest
 
 from diskcontact import bypass, kom
 from diskcontact.bypass import BypassMove, attach, enumerate_bypasses, triangle
-from diskcontact.divset import STAR, DividingSet, basic_of, enumerate_objects, geometry
+from diskcontact.divset import STAR, DividingSet, basic_of, enumerate_objects
 from diskcontact.functor import (
     F_of_morphism,
     GradedObject,
@@ -29,6 +29,7 @@ from oracle import (
     differential_data,
     find_homotopy,
     gamma_of,
+    geometry,
     index_image,
     negative_region_differential as ref_region_differential,
     omitted_labels,

@@ -27,7 +27,7 @@ import pytest
 
 import oracle
 from diskcontact import bypass, divset, functor, homs, kom, reflection, suites
-from diskcontact.divset import basic_sets, geometry
+from diskcontact.divset import basic_sets
 
 ALL_VALID = "divset.enumerated_all_valid"
 ROUNDTRIP = "divset.matching_roundtrip"
@@ -92,7 +92,7 @@ def identity_flipped(index_split):
 
 def entry_filed_under_another_region(partial):
     def mutated(ds, region_index):
-        parts = {reg.index: partial(ds, reg.index) for reg in geometry(ds).neg_regions}
+        parts = {reg.index: partial(ds, reg.index) for reg in oracle.geometry(ds).neg_regions}
         live = [r for r, p in parts.items() if p]
         if len(live) < 2 or region_index not in (live[0], live[-1]):
             return parts[region_index]
@@ -128,6 +128,13 @@ def curves_not_halved(curves):
 def closure_keeps_direct_successors(transitive_closure):
     def mutated(graph):
         return {x: homs._mask([x, *graph[x]]) for x in graph}
+
+    return mutated
+
+
+def stage_filter_keeps_all_out(stage_filter):
+    def mutated(self, anchor, into):
+        return stage_filter(self, anchor, into) if into else (lambda x: True)
 
     return mutated
 
@@ -353,6 +360,15 @@ MUTANTS = {
         (homs, "_transitive_closure"),
         closure_keeps_direct_successors,
         {(3, 1): set(), (4, 2): {STACK_ORDER, EXACTNESS}, (5, 2): {STACK_ORDER, EXACTNESS}},
+    ),
+    "stage_filter_keeps_all_out": (
+        "a search out of an anchor keeps only the stages X with Hom(anchor, X) != 0",
+        ("homs", "faithful"),
+        (homs.Component, "_stage_filter"),
+        stage_filter_keeps_all_out,
+        # the faithful table sees it through the bypass tree of each source,
+        # which leaves T(i)
+        {(3, 1): {STACK_ORDER, TABLE}, (4, 2): {STACK_ORDER, TABLE}, (5, 2): {STACK_ORDER, TABLE}},
     ),
     "last_move_dropped": (
         "the bypass targets of a rotated object are the rotated bypass targets",
